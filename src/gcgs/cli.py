@@ -209,7 +209,7 @@ def run_ot(config):
         gap0, _ = check_fixed_point(split, x0)
         gap_tol = 1e-6 * max(gap0, 0.0)
     cfg = SolverConfig(step_rule=config["step"], max_iter=config["max_iter"],
-                       gap_tol=gap_tol, seed=config["seed"])
+                       gap_tol=gap_tol)
     result = solve(split, x0, cfg)
     config = dict(config, gap_tol=gap_tol)
     _write_trace(config["out"], result.trace, "marginal_violation")
@@ -230,8 +230,7 @@ def run_enet(config):
     x0 = np.zeros(problem.Z.shape[1])
     cfg = SolverConfig(step_rule=config["step"], max_iter=config["max_iter"],
                        gap_tol=config["gap_tol"],
-                       residual_tol=config["residual_tol"],
-                       seed=config["seed"])
+                       residual_tol=config["residual_tol"])
     solver = config["solver"]
     if solver == "cgs":
         result = solve(en.en_split(problem), x0, cfg)

@@ -14,16 +14,15 @@ All solvers stop on the fixed-point residual
 """
 
 import csv
-import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
 from .numerics import as_matrix, as_vector, make_rng
-from .solver import (IterationRecord, SolveResult, SolverConfig,
-                     SplitObjective, StallError, cg_adapter)
+from .solver import (ProjectedGradient, SolveResult, SolverConfig,
+                     SpectralProjectedGradient, SplitObjective, cg_adapter,
+                     solve)
 
 LOSSES = ("squared", "logistic", "squared_hinge")
 
@@ -188,12 +187,12 @@ def _check_feasible(problem, x0):
     return x0.copy()
 
 
-def _certificate_gap(problem, x, grad_f):
-    """CGS surrogate gap at x, for cross-solver comparable traces."""
-    s = en_oracle(problem, x, grad_f)
-    lam = problem.lam
-    bracket = float(np.vdot(grad_f, s - x)) + lam * (float(s @ s) - float(x @ x))
-    return -bracket, s
+def _projection_solve(policy_cls, name, problem, x0, cfg):
+    x0 = _check_feasible(problem, x0)
+    if cfg.residual_tol is None:
+        raise ValueError(f"{name} needs cfg.residual_tol")
+    policy = policy_cls(lambda v: project_l1(v, problem.tau))
+    return solve(en_split(problem), x0, cfg, policy=policy)
 
 
 def spg_solve(problem: ElasticNetProblem, x0, cfg: SolverConfig) -> SolveResult:
@@ -202,87 +201,15 @@ def spg_solve(problem: ElasticNetProblem, x0, cfg: SolverConfig) -> SolveResult:
     The trial point is P(x - alpha_bb * grad F(x)); a nonmonotone line
     search (reference value: max objective over the last 10 iterates)
     backtracks along the chord to the trial point. The spectral step is
-    clipped to [1e-10, 1e10]. Stops on the fixed-point residual.
+    clipped to [1e-10, 1e10]. Stops on the fixed-point residual; see
+    :class:`~gcgs.solver.SpectralProjectedGradient`.
     """
-    x = _check_feasible(problem, x0)
-    if cfg.residual_tol is None:
-        raise ValueError("spg_solve needs cfg.residual_tol")
-    memory = []
-    alpha_bb = 1.0
-    grad = objective_grad(problem, x)
-    trace = []
-    termination = "max_iter"
-    t0 = time.perf_counter()
-    for k in range(cfg.max_iter + 1):
-        fx = objective(problem, x)
-        res = fixed_point_residual(problem, x)
-        gap, _ = _certificate_gap(problem, x, loss_grad(problem, x))
-        rec = IterationRecord(k=k, objective=fx, surrogate_gap=gap if gap > 0.0 else 0.0,
-                              alpha=0.0, elapsed_s=time.perf_counter() - t0,
-                              extra_residual=res)
-        trace.append(rec)
-        if res <= cfg.residual_tol:
-            termination = "fp_residual"
-            break
-        if k == cfg.max_iter:
-            break
-        memory.append(fx)
-        if len(memory) > 10:
-            memory.pop(0)
-        d = project_l1(x - alpha_bb * grad, problem.tau) - x
-        slope = float(np.vdot(grad, d))
-        f_ref = max(memory)
-        step = 1.0
-        while objective(problem, x + step * d) > f_ref + cfg.armijo_sigma * step * slope:
-            step *= 0.5
-            if step < 2.0 ** -50:
-                raise StallError(f"spg line search stalled at iteration {k}")
-        x_new = x + step * d
-        grad_new = objective_grad(problem, x_new)
-        sk = x_new - x
-        yk = grad_new - grad
-        sy = float(sk @ yk)
-        if sy > 0.0:
-            alpha_bb = float(np.clip(float(sk @ sk) / sy, 1e-10, 1e10))
-        else:
-            alpha_bb = 1e10
-        x, grad = x_new, grad_new
-        rec.alpha = step
-    return SolveResult(x_final=x, trace=trace, termination=termination)
+    return _projection_solve(SpectralProjectedGradient, "spg_solve", problem, x0, cfg)
 
 
 def pg_solve(problem: ElasticNetProblem, x0, cfg: SolverConfig) -> SolveResult:
     """Projected gradient: d = P(x - grad F(x)) - x with monotone Armijo."""
-    x = _check_feasible(problem, x0)
-    if cfg.residual_tol is None:
-        raise ValueError("pg_solve needs cfg.residual_tol")
-    trace = []
-    termination = "max_iter"
-    t0 = time.perf_counter()
-    for k in range(cfg.max_iter + 1):
-        fx = objective(problem, x)
-        grad = objective_grad(problem, x)
-        d = project_l1(x - grad, problem.tau) - x
-        res = float(np.max(np.abs(d)))
-        gap, _ = _certificate_gap(problem, x, loss_grad(problem, x))
-        rec = IterationRecord(k=k, objective=fx, surrogate_gap=gap if gap > 0.0 else 0.0,
-                              alpha=0.0, elapsed_s=time.perf_counter() - t0,
-                              extra_residual=res)
-        trace.append(rec)
-        if res <= cfg.residual_tol:
-            termination = "fp_residual"
-            break
-        if k == cfg.max_iter:
-            break
-        slope = float(np.vdot(grad, d))
-        step = 1.0
-        while objective(problem, x + step * d) > fx + cfg.armijo_sigma * step * slope:
-            step *= cfg.armijo_beta
-            if step < 2.0 ** -50:
-                raise StallError(f"pg line search stalled at iteration {k}")
-        x = x + step * d
-        rec.alpha = step
-    return SolveResult(x_final=x, trace=trace, termination=termination)
+    return _projection_solve(ProjectedGradient, "pg_solve", problem, x0, cfg)
 
 
 # ---------------------------------------------------------------------------

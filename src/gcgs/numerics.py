@@ -48,13 +48,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def gaussian_draws(rng: np.random.Generator, r: int, c: int) -> np.ndarray:
-    """r-by-c matrix of standard normal draws from ``rng``."""
-    if r < 1 or c < 1:
-        raise ValueError(f"dimensions must be >= 1, got ({r}, {c})")
-    return rng.standard_normal((r, c))
-
-
 def golden_section_min(phi, tol: float = 1e-10, max_evals: int = 200) -> float:
     """Minimize a unimodal function ``phi`` over [0, 1] by golden-section search.
 

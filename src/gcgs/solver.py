@@ -16,10 +16,13 @@ with a_k from an exact, Armijo or fixed 2/(k+2) rule. The quantity
 
 is a certified upper bound on F(x) - F(x*) and is the stopping criterion.
 The classic (fully linearized) conditional gradient is recovered through
-:func:`cg_adapter`.
+:func:`cg_adapter`; projected-gradient baselines run on the same loop as
+the direction policies :class:`ProjectedGradient` and
+:class:`SpectralProjectedGradient`.
 """
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -86,7 +89,6 @@ class SolverConfig:
     armijo_sigma: float = 1e-4
     armijo_beta: float = 0.5
     record_trace: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.step_rule not in ("exact", "armijo", "fixed"):
@@ -151,18 +153,21 @@ def step_exact(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
 
 def step_armijo(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
                 grad_F_x: np.ndarray, sigma: float = 1e-4,
-                beta: float = 0.5) -> float:
+                beta: float = 0.5, f_ref: Optional[float] = None) -> float:
     """Largest step in {1, beta, beta^2, ...} with sufficient decrease.
 
-    Accepts ``a`` when ``F(x + a dx) <= F(x) + sigma * a * <grad_F, dx>``;
-    raises :class:`StallError` below 2**-50, which signals a non-descent
-    direction or numerical breakdown.
+    Accepts ``a`` when ``F(x + a dx) <= f_ref + sigma * a * <grad_F, dx>``,
+    where ``f_ref`` defaults to ``F(x)`` (a caller that holds ``F(x)``, or
+    a nonmonotone reference value, passes it); raises :class:`StallError`
+    below 2**-50, which signals a non-descent direction or numerical
+    breakdown.
     """
-    f0 = obj.value(x)
+    if f_ref is None:
+        f_ref = obj.value(x)
     slope = float(np.vdot(grad_F_x, dx))
     alpha = 1.0
     while alpha >= 2.0 ** -50:
-        if obj.value(x + alpha * dx) <= f0 + sigma * alpha * slope:
+        if obj.value(x + alpha * dx) <= f_ref + sigma * alpha * slope:
             return alpha
         alpha *= beta
     raise StallError(f"no Armijo step above 2^-50 (slope {slope:.3e})")
@@ -175,7 +180,73 @@ def step_fixed(k: int) -> float:
     return 2.0 / (k + 2.0)
 
 
-def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
+class ProjectedGradient:
+    """Projected-gradient direction policy for :func:`solve`.
+
+    Steps along ``d = P(x - grad F(x)) - x``, with ``P`` the Euclidean
+    projection onto the feasible set, under the monotone Armijo rule
+    (``cfg.armijo_beta``). The fixed-point residual ``||d||_inf`` is the
+    convergence measure; the surrogate gap is recorded but does not stop
+    the run.
+    """
+
+    armijo_beta: Optional[float] = None  # None: cfg.armijo_beta
+
+    def __init__(self, project: Callable[[np.ndarray], np.ndarray]):
+        self.project = project
+        self._d = None
+
+    def residual(self, x: np.ndarray, grad_F: np.ndarray) -> float:
+        """||P(x - grad F(x)) - x||_inf; keeps the projection for the step."""
+        self._d = self.project(x - grad_F) - x
+        return float(np.max(np.abs(self._d)))
+
+    def direction(self, x: np.ndarray, grad_F: np.ndarray) -> np.ndarray:
+        """The direction of the iterate whose residual was last taken."""
+        return self._d
+
+    def reference(self, objective: float) -> float:
+        """Armijo reference value: the current objective."""
+        return objective
+
+
+class SpectralProjectedGradient(ProjectedGradient):
+    """Spectral projected gradient with Barzilai-Borwein steps.
+
+    The direction is ``P(x - a grad F(x)) - x`` with ``a`` the
+    Barzilai-Borwein step ``<s, s> / <s, y>`` of the last move (1 at the
+    start, 1e10 when ``<s, y> <= 0``), clipped to [1e-10, 1e10]. The
+    Armijo rule is nonmonotone: its reference value is the largest
+    objective over the last 10 iterates, and it backtracks by 0.5.
+    """
+
+    armijo_beta = 0.5
+
+    def __init__(self, project: Callable[[np.ndarray], np.ndarray]):
+        super().__init__(project)
+        self.alpha_bb = 1.0
+        self._last = None  # (x, grad F) where the previous direction was taken
+        self._objectives = deque(maxlen=10)
+
+    def direction(self, x: np.ndarray, grad_F: np.ndarray) -> np.ndarray:
+        if self._last is not None:
+            sk = x - self._last[0]
+            yk = grad_F - self._last[1]
+            sy = float(sk @ yk)
+            if sy > 0.0:
+                self.alpha_bb = float(np.clip(float(sk @ sk) / sy, 1e-10, 1e10))
+            else:
+                self.alpha_bb = 1e10
+        self._last = (x, grad_F)
+        return self.project(x - self.alpha_bb * grad_F) - x
+
+    def reference(self, objective: float) -> float:
+        self._objectives.append(objective)
+        return max(self._objectives)
+
+
+def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
+          policy: Optional[ProjectedGradient] = None) -> SolveResult:
     """Run conditional gradient splitting from the feasible point ``x0``.
 
     Stops when the surrogate gap falls to ``cfg.gap_tol``, when the
@@ -185,13 +256,23 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig) -> SolveResult
     feasible. A non-finite objective value raises
     :class:`~gcgs.numerics.EvaluationError`; oracle exceptions are
     re-raised as :class:`OracleError` with the iteration index.
+
+    A direction ``policy`` replaces the step toward the oracle output:
+    the policy supplies the direction, the residual and the Armijo
+    reference value, the step rule is always Armijo, and the gap is
+    recorded without stopping the run.
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     t0 = time.perf_counter()
     trace: List[IterationRecord] = []
     termination = "max_iter"
 
-    use_residual = cfg.residual_tol is not None and obj.residual is not None
+    if policy is None:
+        step_rule, beta = cfg.step_rule, cfg.armijo_beta
+        use_residual = cfg.residual_tol is not None and obj.residual is not None
+    else:
+        step_rule, beta = "armijo", policy.armijo_beta or cfg.armijo_beta
+        use_residual = cfg.residual_tol is not None
 
     for k in range(cfg.max_iter + 1):
         grad_f = obj.f_grad(x)
@@ -204,38 +285,46 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig) -> SolveResult
         if not np.isfinite(objective):
             raise EvaluationError(f"non-finite objective at iteration {k}")
 
+        grad_F = None
+        if policy is not None:
+            grad_F = grad_f + obj.g_grad(x)
+            residual = policy.residual(x, grad_F)
+        else:
+            residual = obj.residual(x) if obj.residual is not None else None
         record = IterationRecord(
             k=k,
             objective=objective,
             surrogate_gap=gap if gap > 0.0 else 0.0,
             alpha=0.0,
             elapsed_s=time.perf_counter() - t0,
-            extra_residual=obj.residual(x) if obj.residual is not None else None,
+            extra_residual=residual,
         )
         if cfg.record_trace:
             trace.append(record)
 
-        if use_residual and record.extra_residual <= cfg.residual_tol:
+        if use_residual and residual <= cfg.residual_tol:
             termination = "fp_residual"
             break
-        if gap <= cfg.gap_tol:
+        if policy is None and gap <= cfg.gap_tol:
             termination = "gap_tol"
             break
         if k == cfg.max_iter:
             termination = "max_iter"
             break
 
-        dx = s - x
+        dx = s - x if policy is None else policy.direction(x, grad_F)
         if np.max(np.abs(dx)) <= _TINY_STEP:
             termination = "stalled"
             break
 
-        if cfg.step_rule == "exact":
+        if step_rule == "exact":
             alpha = step_exact(obj, x, dx)
-        elif cfg.step_rule == "armijo":
-            grad_F = grad_f + obj.g_grad(x)
-            alpha = step_armijo(obj, x, dx, grad_F,
-                                sigma=cfg.armijo_sigma, beta=cfg.armijo_beta)
+        elif step_rule == "armijo":
+            if grad_F is None:
+                grad_F = grad_f + obj.g_grad(x)
+            f_ref = objective if policy is None else policy.reference(objective)
+            alpha = step_armijo(obj, x, dx, grad_F, sigma=cfg.armijo_sigma,
+                                beta=beta, f_ref=f_ref)
         else:
             alpha = step_fixed(k)
         record.alpha = float(alpha)
@@ -252,15 +341,9 @@ def cg_adapter(obj: SplitObjective, lmo: Callable[[np.ndarray], np.ndarray]) -> 
     the full gradient, so :func:`solve` runs textbook Frank-Wolfe and the
     recorded certificate is the classic surrogate duality gap.
     """
-    def full_eval(x):
-        return obj.f_eval(x) + obj.g_eval(x)
-
-    def full_grad(x):
-        return obj.f_grad(x) + obj.g_grad(x)
-
     return SplitObjective(
-        f_eval=full_eval,
-        f_grad=full_grad,
+        f_eval=obj.value,
+        f_grad=obj.grad,
         g_eval=lambda x: 0.0,
         g_grad=np.zeros_like,
         partial_oracle=lambda x, grad_F: lmo(grad_F),

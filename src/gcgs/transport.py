@@ -18,7 +18,7 @@ conditional gradient baseline.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -242,15 +242,7 @@ def ot_cg_split(problem: TransportProblem, warm_start: bool = True) -> SplitObje
     def guarded_entropy_grad(gamma):
         return problem.lambda_ent * (1.0 + np.log(np.maximum(gamma, _PLAN_FLOOR)))
 
-    guarded = SplitObjective(
-        f_eval=split.f_eval,
-        f_grad=split.f_grad,
-        g_eval=split.g_eval,
-        g_grad=guarded_entropy_grad,
-        partial_oracle=split.partial_oracle,
-        residual=split.residual,
-    )
-    return cg_adapter(guarded, lmo)
+    return cg_adapter(replace(split, g_grad=guarded_entropy_grad), lmo)
 
 
 # ---------------------------------------------------------------------------

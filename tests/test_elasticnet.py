@@ -9,8 +9,9 @@ central finite differences for gradients.
 import numpy as np
 import pytest
 
+from gcgs import elasticnet
 from gcgs.numerics import finite_diff_grad, golden_section_min, make_rng
-from gcgs.solver import SolverConfig, solve
+from gcgs.solver import SolverConfig, solve, surrogate_gap
 from gcgs.elasticnet import (
     Dataset,
     ElasticNetProblem,
@@ -396,6 +397,36 @@ class TestBaselines:
         assert result.termination == "fp_residual"
         objs = result.objectives()
         assert objs[-1] < objs[0]
+
+    @pytest.mark.parametrize("run,projections", [(pg_solve, 2), (spg_solve, 3)])
+    def test_work_per_iteration_and_recorded_gap(self, monkeypatch, run,
+                                                  projections):
+        calls = {"loss_grad": [], "project_l1": [], "loss_eval": []}
+        for name, log in calls.items():
+            fn = getattr(elasticnet, name)
+            monkeypatch.setattr(
+                elasticnet, name,
+                lambda *a, _fn=fn, _log=log: _log.append(a) or _fn(*a))
+        problem = _small_problem(seed=28, tau=0.8)
+        result = run(problem, np.zeros(12), self._cfg(tol=1e-6))
+        monkeypatch.undo()
+        n = len(result.trace)
+        assert result.termination == "fp_residual" and n > 10
+        # one gradient per iterate; projections: the oracle, the residual
+        # (shared with the direction by pg) and the spectral direction,
+        # which the last iterate never takes
+        assert len(calls["loss_grad"]) == n
+        assert len(calls["project_l1"]) == projections * n - (projections - 2)
+        # one objective per iterate plus the Armijo trials (steps 0.5^j)
+        trials = sum(round(-np.log2(rec.alpha)) + 1
+                     for rec in result.trace[:-1])
+        assert len(calls["loss_eval"]) == n + trials
+        # the recorded gap is the splitting certificate at each iterate
+        split = en_split(problem)
+        for rec, (_, x) in zip(result.trace, calls["loss_grad"]):
+            grad_f = loss_grad(problem, x)
+            gap = surrogate_gap(x, en_oracle(problem, x, grad_f), grad_f, split)
+            assert rec.surrogate_gap == max(gap, 0.0)
 
     def test_traces_record_residuals_and_clamped_gaps(self):
         problem = _small_problem(seed=28, tau=0.8)

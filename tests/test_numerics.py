@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from gcgs.numerics import (EvaluationError, as_matrix, as_vector,
-                           finite_diff_grad, gaussian_draws,
-                           golden_section_min, make_rng)
+                           finite_diff_grad, golden_section_min, make_rng)
 
 
 class TestValidation:
@@ -43,13 +42,6 @@ class TestRng:
     def test_seed_range_checked(self):
         with pytest.raises(ValueError):
             make_rng(-1)
-
-    def test_gaussian_draws_shape(self):
-        assert gaussian_draws(make_rng(0), 3, 4).shape == (3, 4)
-
-    def test_gaussian_draws_rejects_empty(self):
-        with pytest.raises(ValueError):
-            gaussian_draws(make_rng(0), 0, 4)
 
 
 class TestGoldenSection:

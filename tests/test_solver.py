@@ -159,6 +159,17 @@ class TestSolve:
         res = solve(obj, np.array([0.4]), SolverConfig(gap_tol=0.0, max_iter=50))
         assert res.termination == "stalled"
 
+    def test_armijo_reuses_the_held_objective(self):
+        obj = interval_quadratic()
+        f_eval, evals = obj.f_eval, []
+        obj.f_eval = lambda x: evals.append(x) or f_eval(x)
+        res = solve(obj, np.array([0.9]),
+                    SolverConfig(step_rule="armijo", gap_tol=1e-6, max_iter=50))
+        # one evaluation per iterate plus one per trial step 0.5^j
+        trials = sum(round(-np.log2(rec.alpha)) + 1 for rec in res.trace[:-1])
+        assert len(res.trace) > 2
+        assert len(evals) == len(res.trace) + trials
+
     def test_oracle_error_carries_iteration(self):
         obj = interval_quadratic()
         obj.partial_oracle = lambda x, g: (_ for _ in ()).throw(ValueError("boom"))
