@@ -22,13 +22,18 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
-from .numerics import EvaluationError, as_matrix, make_rng
+from .numerics import as_matrix, make_rng
 from .solver import SplitObjective, cg_adapter
 
 # Output plans are floored here so entropy gradients stay finite.
 _PLAN_FLOOR = 1e-300
+
+# Sinkhorn checks every _CHECK_EVERY sweeps and absorbs log-scalings
+# beyond _ABSORB_BOUND into the potentials (exp overflows past 709).
+_CHECK_EVERY = 10
+_ABSORB_BOUND = 100.0
 
 
 class ConvergenceError(RuntimeError):
@@ -142,7 +147,8 @@ class TransportProblem:
                     raise ValueError(f"{name} must be symmetric")
                 if np.max(np.abs(L.sum(axis=1))) > 1e-8:
                     raise ValueError(f"{name} rows must sum to 0")
-                checked.append(L)
+                # symmetric part, so the gradient below can use 2 L
+                checked.append(0.5 * (L + L.T))
             self.lap_s, self.lap_t = checked
             if self.Xs is None or self.Xt is None:
                 raise ValueError("sample positions required when lambda_lap > 0")
@@ -167,8 +173,8 @@ def laplacian_reg_grad(gamma: np.ndarray, problem: TransportProblem) -> np.ndarr
         return np.zeros_like(gamma)
     Ls, Lt = problem.lap_s, problem.lap_t
     Xs, Xt = problem.Xs, problem.Xt
-    g_s = problem.lambda_s * (((Ls + Ls.T) @ gamma @ Xt) @ Xt.T)
-    g_t = problem.lambda_t * (Xs @ (Xs.T @ (gamma @ (Lt + Lt.T))))
+    g_s = 2.0 * problem.lambda_s * ((Ls @ gamma @ Xt) @ Xt.T)
+    g_t = 2.0 * problem.lambda_t * (Xs @ (Xs.T @ (gamma @ Lt)))
     return g_s + g_t
 
 
@@ -249,46 +255,44 @@ def ot_cg_split(problem: TransportProblem, warm_start: bool = True) -> SplitObje
 # Sinkhorn-Knopp scaling
 # ---------------------------------------------------------------------------
 
+def _stabilized_kernel(log_kernel, f, g):
+    """Re-centred ``(K, f, g)`` with ``K = exp(log_kernel + f ⊕ g)``.
+
+    Every row of ``K`` peaks at 1 (a shift of ``f`` that the next row
+    scaling undoes) and columns peaking below ``exp(-_ABSORB_BOUND)`` are
+    lifted to it, so no row or column of ``K`` is zero.
+    """
+    L = log_kernel + f[:, None] + g[None, :]
+    shift = L.max(axis=1)
+    L -= shift[:, None]
+    lift = np.maximum(-_ABSORB_BOUND - L.max(axis=0), 0.0)
+    L += lift[None, :]
+    return np.exp(L, out=L), f - shift, g + lift
+
+
 def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
-             tol: float = 1e-9, max_iter: int = 10000,
-             method: str = "auto", potentials=None,
+             tol: float = 1e-9, max_iter: int = 10000, potentials=None,
              return_potentials: bool = False):
-    """Entropic transport plan by Sinkhorn-Knopp matrix scaling.
+    """Entropic transport plan by stabilized Sinkhorn-Knopp scaling.
 
-    Solves ``min <gamma, cost_adj> + lambda_ent * sum(gamma log gamma)``
-    over the transport polytope, i.e. returns
-    ``gamma = diag(u) K diag(v)`` with ``K = exp(-cost_adj/lambda_ent - 1)``
-    scaled until the marginal violation (infinity norm) is at most
-    ``tol``. When ``K`` underflows or the scaling vectors overflow, the
-    iteration restarts in the log domain, which handles arbitrarily
-    small regularization.
+    Minimizes ``<gamma, cost_adj> + lambda_ent * sum(gamma log gamma)``
+    over the transport polytope of the histograms ``mu_s``, ``mu_t``.
+    The plan is ``exp(-cost_adj/lambda_ent - 1 + f ⊕ g)``; the sweeps
+    scale ``u``, ``v`` on a kernel stabilized by the potentials ``f``,
+    ``g`` (Schmitzer 2019; Peyré & Cuturi 2019, §4.4). Every
+    ``_CHECK_EVERY`` sweeps, and at the cap, scalings whose log passes
+    ``_ABSORB_BOUND`` are absorbed into the potentials, and non-finite
+    ones roll back to the last checked scalings, which are absorbed
+    instead. So any ``lambda_ent > 0`` with a finite
+    ``cost_adj / lambda_ent`` runs the same plain sweeps.
 
-    Parameters
-    ----------
-    cost_adj : (r, c) array
-        Adjusted cost of the subproblem (any finite values).
-    mu_s, mu_t : arrays
-        Row and column marginals (probability histograms).
-    lambda_ent : float
-        Entropic regularization weight, > 0.
-    tol : float
-        Threshold on the marginal violation.
-    max_iter : int
-        Iteration cap; exceeding it raises :class:`ConvergenceError`
-        carrying the achieved violation.
-    method : {"auto", "scaling", "log"}
-        Force a path, mostly for tests. "auto" tries plain scaling and
-        falls back to the log domain.
-    potentials : optional pair of arrays
-        Warm-start log-domain potentials from a previous call.
-    return_potentials : bool
-        Also return the final log-domain potentials.
-
-    Returns
-    -------
-    gamma : (r, c) array with strictly positive entries (floored at
-        1e-300) meeting the marginal tolerance, or ``(gamma, potentials)``
-        when requested.
+    Returns the plan, with entries floored at 1e-300, once its marginal
+    violation (infinity norm) is at most ``tol``; after ``max_iter``
+    sweeps raises :class:`ConvergenceError` carrying the achieved
+    violation. Warm ``potentials`` from a previous call, shaped (r,) and
+    (c,) and finite where the marginals are positive, are re-centred by
+    a max-shift. ``return_potentials`` also returns the final
+    ``(f, g)``, which are ``-inf`` at zero marginals.
     """
     a = as_histogram(mu_s)
     b = as_histogram(mu_t)
@@ -299,71 +303,64 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
         raise ValueError("lambda_ent must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if method not in ("auto", "scaling", "log"):
-        raise ValueError(f"unknown method {method!r}")
-
-    log_kernel = -cost_adj / lambda_ent - 1.0
-
-    use_log = method == "log" or potentials is not None
-    if method == "auto" and not use_log:
-        # exp underflow makes plain scaling impossible from the start
-        if log_kernel.min() < -700.0:
-            use_log = True
-
-    if not use_log:
-        K = np.exp(log_kernel)
-        u = np.ones_like(a)
-        v = np.ones_like(b)
-        Kv = K @ v
-        for _ in range(max_iter):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                u = a / Kv
-                v = b / (K.T @ u)
-                Kv = K @ v
-                rows = u * Kv
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-                if method == "scaling":
-                    raise EvaluationError(
-                        "scaling iteration produced non-finite values; "
-                        "use method='log' or 'auto'")
-                use_log = True
-                break
-            viol = np.max(np.abs(rows - a))
-            if viol <= tol:
-                gamma = np.maximum(u[:, None] * K * v[None, :], _PLAN_FLOOR)
-                if return_potentials:
-                    with np.errstate(divide="ignore"):
-                        pots = (np.log(u), np.log(v))
-                    return gamma, pots
-                return gamma
-        else:
-            # cap exhausted with finite scalings: the log path is the
-            # same fixed-point iteration, so retrying cannot help
-            raise ConvergenceError(float(np.max(np.abs(rows - a))), max_iter)
-
-    # log-domain path
-    with np.errstate(divide="ignore"):
-        log_a = np.log(a)
-        log_b = np.log(b)
-    if potentials is not None:
-        pr = np.array(potentials[0], dtype=np.float64, copy=True)
-        pc = np.array(potentials[1], dtype=np.float64, copy=True)
+    # zero-mass rows and columns get no plan mass: scale on the support,
+    # a view when there are none (fancy indexing copies)
+    rows, cols = a > 0, b > 0
+    full = rows.all() and cols.all()
+    support = np.s_[:, :] if full else np.ix_(rows, cols)
+    log_kernel = -cost_adj[support] / lambda_ent - 1.0
+    if not np.all(np.isfinite(log_kernel)):
+        raise ValueError("cost_adj / lambda_ent must be finite")
+    if potentials is None:
+        f, g = np.zeros(rows.sum()), np.zeros(cols.sum())
     else:
-        pr = np.zeros_like(a)
-        pc = np.zeros_like(b)
+        f, g = (np.asarray(p, dtype=np.float64) for p in potentials)
+        if f.shape != a.shape or g.shape != b.shape:
+            raise ValueError(f"potentials must have shapes {a.shape} and "
+                             f"{b.shape}, got {f.shape} and {g.shape}")
+        f, g = f[rows], g[cols]
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+            raise ValueError(
+                "potentials must be finite where the marginals are positive")
+    a_s, b_s = a[rows], b[cols]
+
+    K, f, g = _stabilized_kernel(log_kernel, f, g)
+    Kv = K.sum(axis=1)
+    lu_ok = lv_ok = 0.0
     viol = np.inf
-    for _ in range(max_iter):
-        pr = log_a - logsumexp(log_kernel + pc[None, :], axis=1)
-        pc = log_b - logsumexp(log_kernel + pr[:, None], axis=0)
-        log_gamma = log_kernel + pr[:, None] + pc[None, :]
-        rows = np.exp(logsumexp(log_gamma, axis=1))
-        viol = float(np.max(np.abs(rows - a)))
-        if viol <= tol:
-            gamma = np.maximum(np.exp(log_gamma), _PLAN_FLOOR)
-            if return_potentials:
-                return gamma, (pr, pc)
-            return gamma
-    raise ConvergenceError(viol, max_iter)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sweep in range(1, max_iter + 1):
+            u = a_s / Kv
+            v = b_s / (K.T @ u)
+            Kv = K @ v
+            if sweep % _CHECK_EVERY and sweep < max_iter:
+                continue
+            lu, lv = np.log(u), np.log(v)
+            if not (np.all(np.isfinite(lu)) and np.all(np.isfinite(lv))):
+                lu, lv = lu_ok, lv_ok
+            else:
+                viol = float(np.max(np.abs(u * Kv - a_s)))
+                if viol <= tol:
+                    break
+                if max(np.max(np.abs(lu)), np.max(np.abs(lv))) <= _ABSORB_BOUND:
+                    lu_ok, lv_ok = lu, lv
+                    continue
+            K, f, g = _stabilized_kernel(log_kernel, f + lu, g + lv)
+            Kv = K.sum(axis=1)
+            lu_ok = lv_ok = 0.0
+        else:
+            raise ConvergenceError(viol, max_iter)
+
+    gamma = np.maximum(u[:, None] * K * v[None, :], _PLAN_FLOOR)
+    if not full:
+        gamma, on_support = np.full(cost_adj.shape, _PLAN_FLOOR), gamma
+        gamma[support] = on_support
+    if not return_potentials:
+        return gamma
+    pots = (np.full(a.size, -np.inf), np.full(b.size, -np.inf))
+    pots[0][rows] = f + lu
+    pots[1][cols] = g + lv
+    return gamma, pots
 
 
 # ---------------------------------------------------------------------------

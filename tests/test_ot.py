@@ -1,18 +1,21 @@
 """Tests for the transport stack: Sinkhorn, the exact LMO, regularizers.
 
-Expected values come from three independent oracles defined below:
+Expected values come from four independent oracles defined below:
 a bisection solver for 2x2 entropic transport (one free parameter),
-brute-force vertex enumeration of small transport polytopes, and
-scipy's LP solver for medium instances.
+a log-domain Sinkhorn that never leaves the log domain, brute-force
+vertex enumeration of small transport polytopes, and scipy's LP solver
+for medium instances.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
-from gcgs.numerics import EvaluationError, finite_diff_grad, make_rng
+from gcgs.numerics import finite_diff_grad, make_rng
 from gcgs.solver import OracleError, SolverConfig, solve
 from gcgs.transport import (
     ConvergenceError,
@@ -114,6 +117,36 @@ def lmo_by_linprog(cost, a, b):
     return res.x.reshape(r, c), float(res.fun)
 
 
+def sinkhorn_log_reference(cost, a, b, lam, tol, max_iter=200000, g=None):
+    """Entropic plan by log-domain Sinkhorn on max-shifted log-sum-exps.
+
+    Each sweep sets the potentials directly,
+    ``f = log a - LSE_j(log_kernel + g)`` and
+    ``g = log b - LSE_i(log_kernel + f)``, starting from ``g`` (zero by
+    default), so no scaling is ever formed and no value can overflow.
+    Returns the plan once the row violation (the columns are exact
+    after each sweep) is at most ``tol``, or None after ``max_iter``
+    sweeps.
+    """
+    log_kernel = -cost / lam - 1.0
+    with np.errstate(divide="ignore"):
+        log_a, log_b = np.log(a), np.log(b)
+
+    def lse(m, axis):
+        top = m.max(axis=axis, keepdims=True)
+        return np.squeeze(
+            top + np.log(np.exp(m - top).sum(axis=axis, keepdims=True)), axis)
+
+    g = np.zeros(len(b)) if g is None else g
+    for _ in range(max_iter):
+        f = log_a - lse(log_kernel + g[None, :], 1)
+        g = log_b - lse(log_kernel + f[:, None], 0)
+        plan = np.exp(log_kernel + f[:, None] + g[None, :])
+        if np.max(np.abs(plan.sum(axis=1) - a)) <= tol:
+            return plan
+    return None
+
+
 def _hist(rng, n):
     # bounded below, so no marginal is vanishingly small
     w = 0.2 + rng.random(n)
@@ -186,16 +219,18 @@ class TestSinkhorn:
         plan = sinkhorn(np.full((5, 6), 0.8), a, b, 0.5, tol=1e-12)
         np.testing.assert_allclose(plan, np.outer(a, b), atol=1e-12)
 
-    def test_scaling_and_log_paths_agree(self):
+    @pytest.mark.parametrize("lam", [0.25, 0.05])
+    def test_matches_log_domain_reference(self, lam):
         rng = make_rng(9)
         cost = rng.random((6, 8))
         a = _hist(rng, 6)
         b = _hist(rng, 8)
-        g_scale = sinkhorn(cost, a, b, 0.25, tol=1e-12, method="scaling")
-        g_log = sinkhorn(cost, a, b, 0.25, tol=1e-12, method="log")
-        np.testing.assert_allclose(g_scale, g_log, atol=1e-9)
+        plan = sinkhorn(cost, a, b, lam, tol=1e-12)
+        reference = sinkhorn_log_reference(cost, a, b, lam, tol=1e-12)
+        assert reference is not None
+        np.testing.assert_allclose(plan, reference, atol=1e-9)
 
-    def test_auto_uses_log_path_for_tiny_regularization(self):
+    def test_tiny_regularization_approaches_lp_value(self):
         rng = make_rng(13)
         cost = 0.05 + rng.random((10, 12))
         a = _hist(rng, 10)
@@ -209,13 +244,18 @@ class TestSinkhorn:
         _, lp_value = lmo_by_linprog(cost, a, b)
         assert float(np.vdot(plan, cost)) <= lp_value + 0.05
 
-    def test_scaling_method_raises_on_overflow(self):
+    def test_tiny_regularization_matches_log_domain_reference(self):
         rng = make_rng(17)
         cost = 1.0 + rng.random((4, 5))
         a = _hist(rng, 4)
         b = _hist(rng, 5)
-        with pytest.raises(EvaluationError, match="non-finite"):
-            sinkhorn(cost, a, b, 1e-3, method="scaling")
+        # precondition: the plain kernel underflows to all zeros
+        assert np.exp(-cost / 1e-3 - 1.0).max() == 0.0
+        plan = sinkhorn(cost, a, b, 1e-3, tol=1e-12, max_iter=200000)
+        assert marginal_violation(plan, a, b) <= 1e-12
+        reference = sinkhorn_log_reference(cost, a, b, 1e-3, tol=1e-12)
+        assert reference is not None
+        np.testing.assert_allclose(plan, reference, atol=1e-9)
 
     def test_warm_start_potentials(self):
         rng = make_rng(19)
@@ -231,6 +271,45 @@ class TestSinkhorn:
         plan3 = sinkhorn(bumped, a, b, 0.3, tol=1e-10, potentials=pots)
         assert marginal_violation(plan3, a, b) <= 1e-10
 
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_property_plans_feasible_and_reproduced_by_potentials(self, data):
+        """Cold calls, then warm calls on a cost moved by up to 1000 lambda."""
+        r, c = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+        lam = data.draw(st.floats(1e-3, 1.0))
+        weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+        def hist(n):
+            w = data.draw(hnp.arrays(np.float64, n, elements=weight)
+                          .filter(lambda w: w.sum() > 0))
+            return w / w.sum()
+
+        a, b = hist(r), hist(c)
+        cost = data.draw(hnp.arrays(np.float64, (r, c),
+                                    elements=st.floats(0.0, 1.0)))
+        moved = cost + lam * data.draw(hnp.arrays(
+            np.float64, (r, c), elements=st.floats(-1000.0, 1000.0)))
+        pots = None
+        for cost_k in (cost, moved):
+            # Sinkhorn's sweep count has no bound over this domain (nearly
+            # tied marginals under one dominant kernel entry converge
+            # sublinearly), so the property is checked where the
+            # log-domain reference converges from the same start
+            assume(sinkhorn_log_reference(
+                cost_k, a, b, lam, tol=1e-9, max_iter=5000,
+                g=None if pots is None else pots[1]) is not None)
+            plan, pots = sinkhorn(cost_k, a, b, lam, tol=1e-9,
+                                  max_iter=100000, potentials=pots,
+                                  return_potentials=True)
+            assert np.all(np.isfinite(plan)) and plan.min() >= 0.0
+            assert marginal_violation(plan, a, b) <= 1e-9
+            # kernel entries below the normal range (2.2e-308) keep fewer
+            # digits; scaled into the plan they stay far below 1e-200
+            f, g = pots
+            rebuilt = np.exp(-cost_k / lam - 1.0 + f[:, None] + g[None, :])
+            np.testing.assert_allclose(np.maximum(rebuilt, 1e-300), plan,
+                                       rtol=1e-9, atol=1e-200)
+
     def test_convergence_error_carries_violation(self):
         rng = make_rng(23)
         cost = rng.random((6, 6))
@@ -243,8 +322,21 @@ class TestSinkhorn:
     def test_input_validation(self):
         a = uniform_histogram(2)
         cost = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="method"):
-            sinkhorn(cost, a, a, 0.5, method="fast")
+        with pytest.raises(ValueError, match="finite"):
+            sinkhorn(np.array([[0.0, np.inf], [0.0, 0.0]]), a, a, 0.5)
+        # one NaN is rejected up front, not after the sweep cap
+        nan_cost = make_rng(29).random((50, 50))
+        nan_cost[17, 3] = np.nan
+        w = uniform_histogram(50)
+        with pytest.raises(ValueError, match="finite"):
+            sinkhorn(nan_cost, w, w, 0.1, max_iter=50000)
+        # length-1 potentials would broadcast; they are rejected instead
+        for pots in [(np.zeros(1), np.zeros(1)), (np.zeros(2), np.zeros(3))]:
+            with pytest.raises(ValueError, match="shapes"):
+                sinkhorn(cost, a, a, 0.5, potentials=pots)
+        with pytest.raises(ValueError, match="finite where"):
+            sinkhorn(cost, a, a, 0.5,
+                     potentials=(np.zeros(2), np.array([0.0, np.nan])))
         with pytest.raises(ValueError, match="lambda_ent"):
             sinkhorn(cost, a, a, 0.0)
         with pytest.raises(ValueError, match="tol"):
@@ -385,6 +477,16 @@ class TestEntropyAndLaplacian:
         fd = finite_diff_grad(
             lambda v: laplacian_reg(v.reshape(5, 4), problem), gamma.ravel())
         np.testing.assert_allclose(grad.ravel(), fd, rtol=1e-5, atol=1e-8)
+
+    def test_laplacian_reg_grad_bitwise_equals_symmetrized_form(self):
+        # kNN Laplacians are exactly symmetric, so 2 L is L + L^T bit for bit
+        problem = self._laplacian_problem()
+        Ls, Lt = problem.lap_s, problem.lap_t
+        Xs, Xt = problem.Xs, problem.Xt
+        gamma = make_rng(3).random((5, 4))
+        expected = (0.7 * (((Ls + Ls.T) @ gamma @ Xt) @ Xt.T)
+                    + 1.3 * (Xs @ (Xs.T @ (gamma @ (Lt + Lt.T)))))
+        assert np.array_equal(laplacian_reg_grad(gamma, problem), expected)
 
     def test_laplacian_reg_nonnegative(self):
         problem = self._laplacian_problem()
