@@ -79,7 +79,8 @@ class SolverConfig:
     ``gap_tol`` is an absolute threshold on the surrogate gap.
     ``residual_tol`` activates the problem-specific residual stopping
     rule when the objective defines one (e.g. the projected fixed-point
-    residual of the constrained elastic-net solvers).
+    residual of the constrained elastic-net solvers). With
+    ``record_trace`` off the trace keeps only the final record.
     """
 
     step_rule: str = "exact"
@@ -299,8 +300,9 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
             elapsed_s=time.perf_counter() - t0,
             extra_residual=residual,
         )
-        if cfg.record_trace:
-            trace.append(record)
+        if not cfg.record_trace:
+            trace.clear()
+        trace.append(record)
 
         if use_residual and residual <= cfg.residual_tol:
             termination = "fp_residual"

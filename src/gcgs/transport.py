@@ -367,74 +367,48 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
 # Exact linear minimization: transportation simplex
 # ---------------------------------------------------------------------------
 
-def _tree_duals(cost, adjacency, r, c):
-    """Dual potentials solving u_i + v_j = c_ij on the basis tree."""
-    u = np.zeros(r)
-    v = np.zeros(c)
-    seen = [False] * (r + c)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        node = stack.pop()
-        for other in adjacency[node]:
-            if not seen[other]:
-                seen[other] = True
-                if node < r:  # supply -> demand edge (node, other - r)
-                    v[other - r] = cost[node, other - r] - u[node]
-                else:
-                    u[other] = cost[other, node - r] - v[node - r]
-                stack.append(other)
-    return u, v
+def _rooted_tree(basis, cost, r, c):
+    """Root the basis tree at supply node 0 (demand ``j`` is node ``r + j``).
 
-
-def _tree_path(adjacency, start, goal, n_nodes):
-    """Node path between two tree nodes (BFS parent chase)."""
-    parent = [-1] * n_nodes
-    parent[start] = start
-    queue = [start]
-    while parent[goal] == -1:
-        nxt = []
-        for node in queue:
-            for other in adjacency[node]:
-                if parent[other] == -1:
-                    parent[other] = node
-                    nxt.append(other)
-        queue = nxt
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def _tree_flows(basis, mu_s, mu_t, r, c):
-    """Exact basic flows for given marginals by leaf stripping."""
-    degree = [0] * (r + c)
-    incident = [[] for _ in range(r + c)]
+    Returns the potentials ``(u, v)`` with ``u[0] = 0`` and
+    ``u_i + v_j = c_ij`` on every basic cell, each node's parent and
+    parent-cell index, its depth and the breadth-first order. Raises
+    ``ValueError`` when a cell is out of range, a node is reached twice
+    or the walk misses a node, i.e. unless the cells span a tree.
+    """
+    adjacency = [[] for _ in range(r + c)]
     for t, (i, j) in enumerate(basis):
-        degree[i] += 1
-        degree[r + j] += 1
-        incident[i].append(t)
-        incident[r + j].append(t)
-    mass = np.concatenate([mu_s, mu_t])
-    done = [False] * len(basis)
-    flows = np.zeros(len(basis))
-    leaves = [n for n in range(r + c) if degree[n] == 1]
-    while leaves:
-        node = leaves.pop()
-        edge = next((t for t in incident[node] if not done[t]), None)
-        if edge is None:
-            continue
-        i, j = basis[edge]
-        flows[edge] = mass[node]
-        other = r + j if node == i else i
-        mass[other] -= mass[node]
-        mass[node] = 0.0
-        done[edge] = True
-        degree[node] -= 1
-        degree[other] -= 1
-        if degree[other] == 1:
-            leaves.append(other)
+        if not (0 <= i < r and 0 <= j < c):
+            raise ValueError(f"basis cell {(i, j)} is out of range for {r}x{c}")
+        cij = cost[i, j]
+        adjacency[i].append((r + j, t, cij))
+        adjacency[r + j].append((i, t, cij))
+    pot = [0.0] * (r + c)
+    parent, edge, depth = [0] * (r + c), [-1] * (r + c), [-1] * (r + c)
+    depth[0] = 0
+    order = [0]
+    for node in order:
+        for other, t, cij in adjacency[node]:
+            if t == edge[node]:
+                continue
+            if depth[other] >= 0:
+                raise ValueError("basis cells repeat or close a cycle")
+            parent[other], edge[other], depth[other] = node, t, depth[node] + 1
+            pot[other] = cij - pot[node]
+            order.append(other)
+    if len(order) < r + c:
+        raise ValueError("basis cells do not span all rows and columns")
+    pot = np.array(pot)
+    return (pot[:r], pot[r:]), parent, edge, depth, order
+
+
+def _subtree_flows(mass, parent, edge, order):
+    """Basic flows for node masses: signed subtree sums, leaves first."""
+    excess = list(mass)
+    flows = [0.0] * (len(order) - 1)
+    for node in order[:0:-1]:
+        flows[edge[node]] = excess[node]
+        excess[parent[node]] -= excess[node]
     return flows
 
 
@@ -443,15 +417,20 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t, basis=None,
     """Exact minimizer of ``<gamma, cost_adj>`` over the transport polytope.
 
     Transportation simplex with a north-west-corner start and MODI
-    pivoting. Marginals are perturbed by ``i * 1e-12`` (then
-    re-normalized) against degenerate pivoting; the returned vertex is
-    re-solved on the final basis tree against the original marginals, so
-    its row and column sums are exact up to summation error. Optimality
-    is certified by dual potentials with all reduced costs ``>= -1e-9``.
+    pivoting. Each pivot roots the basis tree once: the tree gives the
+    duals, the entering cycle (climbing from both ends of the entering
+    cell to their common ancestor) and the basic flows as subtree sums.
+    Marginals are perturbed by ``i * 1e-12`` (then re-normalized)
+    against degenerate pivoting; the returned vertex is solved on the
+    final tree against the original marginals, so its row and column
+    sums are exact up to summation error. Optimality is certified by
+    dual potentials with all reduced costs ``>= -1e-9``.
 
     ``basis`` warm-starts from a previous optimal basis (the feasible
     bases depend only on the marginals, so any earlier basis for the
-    same marginals is valid). Exceeding the pivot budget raises
+    same marginals is valid); a basis that is not a spanning tree of
+    ``r + c - 1`` in-range cells, or not feasible for these marginals,
+    raises ``ValueError``. Exceeding the pivot budget raises
     :class:`DegeneracyError`.
     """
     cost = np.asarray(cost_adj, dtype=np.float64)
@@ -466,17 +445,16 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t, basis=None,
     ap = ap / ap.sum()
     bp = b + eps0 * np.arange(1, c + 1)
     bp = bp / bp.sum()
+    perturbed = np.concatenate([ap, bp]).tolist()
 
     if basis is None:
         arem = ap.copy()
         brem = bp.copy()
         basis = []
-        flows = []
         i = j = 0
         while True:
             x = min(arem[i], brem[j])
             basis.append((i, j))
-            flows.append(x)
             arem[i] -= x
             brem[j] -= x
             if i == r - 1 and j == c - 1:
@@ -487,24 +465,17 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t, basis=None,
                 j += 1
             else:
                 i += 1
-        flows = np.array(flows)
     else:
         basis = list(basis)
         if len(basis) != r + c - 1:
             raise ValueError("warm-start basis has the wrong size")
-        flows = _tree_flows(basis, ap, bp, r, c)
-        if flows.min() < -1e-9:
-            raise ValueError("warm-start basis is not feasible for these marginals")
-        np.clip(flows, 0.0, None, out=flows)
 
     max_pivots = 4 * r * c + 1000
-    u = v = None
     for pivot in range(max_pivots + 1):
-        adjacency = [[] for _ in range(r + c)]
-        for i, j in basis:
-            adjacency[i].append(r + j)
-            adjacency[r + j].append(i)
-        u, v = _tree_duals(cost, adjacency, r, c)
+        (u, v), parent, edge, depth, order = _rooted_tree(basis, cost, r, c)
+        flows = _subtree_flows(perturbed, parent, edge, order)
+        if pivot == 0 and min(flows) < -1e-9:
+            raise ValueError("warm-start basis is not feasible for these marginals")
         reduced = cost - u[:, None] - v[None, :]
         flat = int(np.argmin(reduced))
         ei, ej = divmod(flat, c)
@@ -513,31 +484,21 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t, basis=None,
         if pivot == max_pivots:
             raise DegeneracyError(
                 f"pivot budget exhausted after {max_pivots} pivots")
+        # the entering cell gains theta; climbing from either of its
+        # ends to the common ancestor, the 1st, 3rd, ... cells lose it
+        sides = ([], [])
+        ends = [ei, r + ej]
+        while ends[0] != ends[1]:
+            k = 0 if depth[ends[0]] >= depth[ends[1]] else 1
+            sides[k].append(edge[ends[k]])
+            ends[k] = parent[ends[k]]
+        losing = sides[1][0::2] + sides[0][0::2][::-1]
+        basis[min(losing, key=flows.__getitem__)] = (ei, ej)
 
-        path = _tree_path(adjacency, ei, r + ej, r + c)
-        edge_index = {cell: t for t, cell in enumerate(basis)}
-        cycle = []
-        for t in range(len(path) - 1):
-            na, nb = path[t], path[t + 1]
-            cell = (na, nb - r) if na < r else (nb, na - r)
-            cycle.append(edge_index[cell])
-        # entering cell is +theta; walking the path backwards from the
-        # entering cell's demand node, signs alternate -,+,-,...
-        minus = cycle[::-1][0::2]
-        plus = cycle[::-1][1::2]
-        theta_idx = min(minus, key=lambda t: flows[t])
-        theta = flows[theta_idx]
-        flows[np.array(minus)] -= theta
-        for t in plus:
-            flows[t] += theta
-        basis[theta_idx] = (ei, ej)
-        flows[theta_idx] = theta
-
-    final = _tree_flows(basis, a, b, r, c)
-    np.clip(final, 0.0, None, out=final)
+    final = _subtree_flows(np.concatenate([a, b]).tolist(), parent, edge, order)
     gamma = np.zeros((r, c))
-    for t, (i, j) in enumerate(basis):
-        gamma[i, j] += final[t]
+    rows, cols = zip(*basis)
+    gamma[rows, cols] = np.clip(final, 0.0, None)
 
     out = (gamma,)
     if return_basis:

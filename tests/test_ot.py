@@ -8,6 +8,10 @@ for medium instances.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
+import gcgs
 from gcgs.numerics import finite_diff_grad, make_rng
 from gcgs.solver import OracleError, SolverConfig, solve
 from gcgs.transport import (
@@ -404,6 +409,59 @@ class TestTransportLmo:
         with pytest.raises(ValueError, match="basis"):
             transport_lmo(np.zeros((3, 3)), a, a, basis=[(0, 0), (1, 1)])
 
+    @pytest.mark.parametrize("basis, message", [
+        ([(0, 0)] * 5, "repeat"),
+        ([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)], "cycle"),
+        ([(0, 0), (0, 1), (1, 1), (1, 2), (5, 2)], "out of range"),
+        ("from 3x4", "out of range"),
+        ([(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)], "span"),
+        ([(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)], "not feasible"),
+    ], ids=["repeated", "cycle", "far-cell", "transposed-shape", "split",
+            "infeasible"])
+    def test_malformed_warm_basis_raises(self, basis, message):
+        rng = make_rng(47)
+        if basis == "from 3x4":
+            _, basis = transport_lmo(rng.random((3, 4)), uniform_histogram(3),
+                                     uniform_histogram(4), return_basis=True)
+            cost, a, b = rng.random((4, 3)), uniform_histogram(4), uniform_histogram(3)
+        else:
+            cost, a, b = rng.random((3, 3)), uniform_histogram(3), uniform_histogram(3)
+        with pytest.raises(ValueError, match=message):
+            transport_lmo(cost, a, b, basis=basis)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_property_vertex_certified_and_warm_start_exact(self, data):
+        """Small integer costs and zero-mass histograms: ties, degeneracy."""
+        r, c = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+        weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+        def hist(n):
+            w = data.draw(hnp.arrays(np.float64, n, elements=weight)
+                          .filter(lambda w: w.sum() > 0))
+            return w / w.sum()
+
+        def integer_cost():
+            return data.draw(hnp.arrays(np.int64, (r, c), elements=st.integers(0, 3))
+                             ).astype(np.float64)
+
+        a, b = hist(r), hist(c)
+        cost, other = integer_cost(), integer_cost()
+        gamma, basis, (u, v) = transport_lmo(cost, a, b, return_basis=True,
+                                             return_duals=True)
+        assert gamma.min() >= 0.0
+        assert marginal_violation(gamma, a, b) <= 1e-12
+        assert np.count_nonzero(gamma) <= r + c - 1
+        reduced = cost - u[:, None] - v[None, :]
+        assert reduced.min() >= -1e-9
+        primal = float(np.vdot(gamma, cost))
+        assert abs(primal - float(a @ u + b @ v)) <= 1e-9
+        assert float(np.vdot(gamma, reduced)) <= 1e-9
+        # a warm start from another cost's optimal basis reaches the same value
+        _, other_basis = transport_lmo(other, a, b, return_basis=True)
+        warm = transport_lmo(cost, a, b, basis=other_basis)
+        assert abs(float(np.vdot(warm, cost)) - primal) <= 1e-12
+
     def test_degenerate_uniform_marginals(self):
         # uniform-to-uniform with a Monge cost: many ties, still exact
         x = np.linspace(0.0, 1.0, 6)[:, None]
@@ -427,6 +485,34 @@ class TestTransportLmo:
         cost = np.array([[0.0, np.inf], [1.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
             transport_lmo(cost, a, a)
+
+
+def test_solves_load_no_heavy_scipy_modules():
+    """The library needs only scipy.special: scipy.optimize alone adds
+    about 21 MB of resident memory on import."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from gcgs import transport as tr
+        from gcgs.solver import SolverConfig, solve
+        Xs, Xt, a, b = tr.make_cluster_data(20, 20, seed=0)
+        problem = tr.TransportProblem(
+            tr.squared_distances(Xs, Xt), a, b, lambda_ent=0.05,
+            lambda_lap=1.0, lap_s=tr.knn_laplacian(Xs, 3),
+            lap_t=tr.knn_laplacian(Xt, 3), Xs=Xs, Xt=Xt)
+        cfg = SolverConfig(gap_tol=0.0, max_iter=3)
+        for split in (tr.ot_split(problem), tr.ot_cg_split(problem)):
+            solve(split, np.outer(a, b), cfg)
+        heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse.linalg")
+        print(",".join(m for m in heavy if m in sys.modules))
+    """)
+    src = os.path.dirname(os.path.dirname(gcgs.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 class TestEntropyAndLaplacian:

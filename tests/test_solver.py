@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,8 +138,16 @@ class TestSolve:
 
     def test_record_trace_off(self):
         obj = ridge_on_ball()
-        res = solve(obj, np.zeros(2), SolverConfig(max_iter=20, record_trace=False))
-        assert res.trace == []
+        cfg = SolverConfig(max_iter=20)
+        full = solve(obj, np.zeros(2), cfg)
+        res = solve(obj, np.zeros(2), replace(cfg, record_trace=False))
+        # only the final record is kept, so the outcome stays readable
+        assert len(res.trace) == 1 and len(full.trace) > 1
+        last, kept = full.trace[-1], res.trace[0]
+        assert (kept.k, kept.objective, kept.surrogate_gap, kept.alpha) == (
+            last.k, last.objective, last.surrogate_gap, last.alpha)
+        assert res.termination == full.termination
+        np.testing.assert_array_equal(res.x_final, full.x_final)
 
     def test_max_iter_termination(self):
         obj = interval_quadratic()
