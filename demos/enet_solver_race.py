@@ -50,7 +50,8 @@ def main():
     print(f"{'solver':<12} {'iters':>6} {'time':>7} {'objective':>12} "
           f"{'residual':>10} {'stop':>12}")
     for name, (result, elapsed) in runs.items():
-        res = en.fixed_point_residual(problem, result.x_final)
+        res = en.fixed_point_residual(problem, result.x_final,
+                                      en.objective_grad(problem, result.x_final))
         print(f"{name:<12} {result.trace[-1].k:>6} {elapsed:>6.2f}s "
               f"{en.objective(problem, result.x_final):>12.6f} "
               f"{res:>10.1e} {result.termination:>12}")

@@ -10,8 +10,9 @@ cgs, cg, spg or pg. Both write a per-iteration CSV trace and a JSON
 summary echoing the effective configuration.
 
 Exit status: 0 when the run terminated on its convergence rule
-(``gap_tol`` or ``fp_residual``); runs ending at the iteration cap (or
-stalled) exit 0 unless ``--strict`` is given, in which case they exit 1.
+(``gap_tol`` or ``fp_residual``); runs ending at the iteration cap,
+stalled or on a negative raw gap (``negative_gap``) exit 0 unless
+``--strict`` is given, in which case they exit 1.
 Configuration errors exit 2.
 """
 

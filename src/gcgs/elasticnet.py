@@ -134,9 +134,13 @@ def l1_lmo(grad_F: np.ndarray, tau: float) -> np.ndarray:
     return s
 
 
-def fixed_point_residual(problem: ElasticNetProblem, x: np.ndarray) -> float:
-    """||P(x - grad F(x)) - x||_inf, zero exactly at minimizers."""
-    step = project_l1(x - objective_grad(problem, x), problem.tau)
+def fixed_point_residual(problem: ElasticNetProblem, x: np.ndarray,
+                         grad_F: np.ndarray) -> float:
+    """||P(x - grad_F) - x||_inf, zero exactly at minimizers.
+
+    ``grad_F`` is grad F(x), e.g. ``objective_grad(problem, x)``.
+    """
+    step = project_l1(x - grad_F, problem.tau)
     return float(np.max(np.abs(step - x)))
 
 
@@ -167,7 +171,7 @@ def en_split(problem: ElasticNetProblem) -> SplitObjective:
         g_grad=lambda x: 2.0 * lam * x,
         partial_oracle=lambda x, gf: en_oracle(problem, x, gf),
         exact_step=exact_step,
-        residual=lambda x: fixed_point_residual(problem, x),
+        residual=lambda x, grad_F: fixed_point_residual(problem, x, grad_F),
     )
 
 

@@ -33,6 +33,10 @@ from .numerics import EvaluationError, golden_section_min
 # Directions shorter than this are treated as numerical fixed points.
 _TINY_STEP = 1e-14
 
+# Armijo sufficient-decrease constant and backtracking factor.
+_ARMIJO_SIGMA = 1e-4
+_ARMIJO_BETA = 0.5
+
 
 class StallError(RuntimeError):
     """Backtracking line search could not find an acceptable step."""
@@ -53,8 +57,9 @@ class SplitObjective:
     ``partial_oracle(x, grad_f)`` must return a feasible minimizer of
     ``<grad_f, s> + g(s)`` over the feasible set. ``exact_step``, when
     given, replaces the golden-section line search with a closed form;
-    ``residual`` is an optional problem-specific optimality measure
-    recorded along the trace and usable as a stopping rule.
+    ``residual(x, grad_F)``, given ``grad_F = grad f(x) + grad g(x)``, is
+    an optional problem-specific optimality measure recorded along the
+    trace and usable as a stopping rule.
     """
 
     f_eval: Callable[[np.ndarray], float]
@@ -63,7 +68,7 @@ class SplitObjective:
     g_grad: Callable[[np.ndarray], np.ndarray]
     partial_oracle: Callable[[np.ndarray, np.ndarray], np.ndarray]
     exact_step: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-    residual: Optional[Callable[[np.ndarray], float]] = None
+    residual: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
     def value(self, x: np.ndarray) -> float:
         return self.f_eval(x) + self.g_eval(x)
@@ -80,15 +85,14 @@ class SolverConfig:
     ``residual_tol`` activates the problem-specific residual stopping
     rule when the objective defines one (e.g. the projected fixed-point
     residual of the constrained elastic-net solvers). With
-    ``record_trace`` off the trace keeps only the final record.
+    ``record_trace`` off the trace keeps only the final record. The
+    Armijo rule uses sufficient decrease 1e-4 and backtracks by 0.5.
     """
 
     step_rule: str = "exact"
     max_iter: int = 1000
     gap_tol: float = 1e-8
     residual_tol: Optional[float] = None
-    armijo_sigma: float = 1e-4
-    armijo_beta: float = 0.5
     record_trace: bool = True
 
     def __post_init__(self):
@@ -98,8 +102,6 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.gap_tol < 0:
             raise ValueError("gap_tol must be >= 0")
-        if not (0.0 < self.armijo_sigma < 1.0 and 0.0 < self.armijo_beta < 1.0):
-            raise ValueError("armijo constants must lie in (0, 1)")
 
 
 @dataclass
@@ -137,8 +139,7 @@ def surrogate_gap(x: np.ndarray, s: np.ndarray, grad_f: np.ndarray,
     return -bracket
 
 
-def step_exact(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
-               tol: float = 1e-10) -> float:
+def step_exact(obj: SplitObjective, x: np.ndarray, dx: np.ndarray) -> float:
     """Step length minimizing ``F(x + a dx)`` over [0, 1].
 
     Uses the objective's closed form when available, otherwise a
@@ -149,15 +150,14 @@ def step_exact(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
         return 0.0
     if obj.exact_step is not None:
         return float(np.clip(obj.exact_step(x, dx), 0.0, 1.0))
-    return golden_section_min(lambda a: obj.value(x + a * dx), tol=tol)
+    return golden_section_min(lambda a: obj.value(x + a * dx), tol=1e-10)
 
 
 def step_armijo(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
-                grad_F_x: np.ndarray, sigma: float = 1e-4,
-                beta: float = 0.5, f_ref: Optional[float] = None) -> float:
-    """Largest step in {1, beta, beta^2, ...} with sufficient decrease.
+                grad_F_x: np.ndarray, f_ref: Optional[float] = None) -> float:
+    """Largest step in {1, 0.5, 0.25, ...} with sufficient decrease.
 
-    Accepts ``a`` when ``F(x + a dx) <= f_ref + sigma * a * <grad_F, dx>``,
+    Accepts ``a`` when ``F(x + a dx) <= f_ref + 1e-4 * a * <grad_F, dx>``,
     where ``f_ref`` defaults to ``F(x)`` (a caller that holds ``F(x)``, or
     a nonmonotone reference value, passes it); raises :class:`StallError`
     below 2**-50, which signals a non-descent direction or numerical
@@ -168,9 +168,9 @@ def step_armijo(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
     slope = float(np.vdot(grad_F_x, dx))
     alpha = 1.0
     while alpha >= 2.0 ** -50:
-        if obj.value(x + alpha * dx) <= f_ref + sigma * alpha * slope:
+        if obj.value(x + alpha * dx) <= f_ref + _ARMIJO_SIGMA * alpha * slope:
             return alpha
-        alpha *= beta
+        alpha *= _ARMIJO_BETA
     raise StallError(f"no Armijo step above 2^-50 (slope {slope:.3e})")
 
 
@@ -185,13 +185,11 @@ class ProjectedGradient:
     """Projected-gradient direction policy for :func:`solve`.
 
     Steps along ``d = P(x - grad F(x)) - x``, with ``P`` the Euclidean
-    projection onto the feasible set, under the monotone Armijo rule
-    (``cfg.armijo_beta``). The fixed-point residual ``||d||_inf`` is the
-    convergence measure; the surrogate gap is recorded but does not stop
-    the run.
+    projection onto the feasible set, under the monotone Armijo rule.
+    The fixed-point residual ``||d||_inf`` is the convergence measure and
+    shares its projection with the direction; the surrogate gap is
+    recorded but does not stop the run.
     """
-
-    armijo_beta: Optional[float] = None  # None: cfg.armijo_beta
 
     def __init__(self, project: Callable[[np.ndarray], np.ndarray]):
         self.project = project
@@ -218,10 +216,8 @@ class SpectralProjectedGradient(ProjectedGradient):
     Barzilai-Borwein step ``<s, s> / <s, y>`` of the last move (1 at the
     start, 1e10 when ``<s, y> <= 0``), clipped to [1e-10, 1e10]. The
     Armijo rule is nonmonotone: its reference value is the largest
-    objective over the last 10 iterates, and it backtracks by 0.5.
+    objective over the last 10 iterates.
     """
-
-    armijo_beta = 0.5
 
     def __init__(self, project: Callable[[np.ndarray], np.ndarray]):
         super().__init__(project)
@@ -250,30 +246,31 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
           policy: Optional[ProjectedGradient] = None) -> SolveResult:
     """Run conditional gradient splitting from the feasible point ``x0``.
 
-    Stops when the surrogate gap falls to ``cfg.gap_tol``, when the
-    residual rule fires (if configured), when the direction collapses
-    below 1e-14 in infinity norm, or after ``cfg.max_iter`` updates.
-    Every iterate is a convex combination of feasible points and hence
-    feasible. A non-finite objective value raises
+    Stops when the surrogate gap falls to ``cfg.gap_tol`` (termination
+    ``negative_gap`` when the raw gap is below zero, which only an
+    inexact oracle or rounding produces), when the residual rule fires
+    (if configured), when the direction collapses below 1e-14 in
+    infinity norm, or after ``cfg.max_iter`` updates. Every iterate is
+    a convex combination of feasible points and hence feasible. A
+    non-finite objective value raises
     :class:`~gcgs.numerics.EvaluationError`; oracle exceptions are
     re-raised as :class:`OracleError` with the iteration index.
 
-    A direction ``policy`` replaces the step toward the oracle output:
-    the policy supplies the direction, the residual and the Armijo
-    reference value, the step rule is always Armijo, and the gap is
-    recorded without stopping the run.
+    ``grad F = grad f + grad g`` is formed once per iterate and feeds
+    the residual, the policy direction and the Armijo rule. A direction
+    ``policy`` replaces the step toward the oracle output: the policy
+    supplies the direction, the residual and the Armijo reference value,
+    the step rule is always Armijo, and the gap is recorded without
+    stopping the run.
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     t0 = time.perf_counter()
     trace: List[IterationRecord] = []
     termination = "max_iter"
 
-    if policy is None:
-        step_rule, beta = cfg.step_rule, cfg.armijo_beta
-        use_residual = cfg.residual_tol is not None and obj.residual is not None
-    else:
-        step_rule, beta = "armijo", policy.armijo_beta or cfg.armijo_beta
-        use_residual = cfg.residual_tol is not None
+    step_rule = cfg.step_rule if policy is None else "armijo"
+    residual_fn = obj.residual if policy is None else policy.residual
+    use_residual = cfg.residual_tol is not None and residual_fn is not None
 
     for k in range(cfg.max_iter + 1):
         grad_f = obj.f_grad(x)
@@ -285,13 +282,8 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
         objective = obj.value(x)
         if not np.isfinite(objective):
             raise EvaluationError(f"non-finite objective at iteration {k}")
-
-        grad_F = None
-        if policy is not None:
-            grad_F = grad_f + obj.g_grad(x)
-            residual = policy.residual(x, grad_F)
-        else:
-            residual = obj.residual(x) if obj.residual is not None else None
+        grad_F = grad_f + obj.g_grad(x)
+        residual = residual_fn(x, grad_F) if residual_fn is not None else None
         record = IterationRecord(
             k=k,
             objective=objective,
@@ -308,7 +300,7 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
             termination = "fp_residual"
             break
         if policy is None and gap <= cfg.gap_tol:
-            termination = "gap_tol"
+            termination = "gap_tol" if gap >= 0.0 else "negative_gap"
             break
         if k == cfg.max_iter:
             termination = "max_iter"
@@ -322,11 +314,8 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
         if step_rule == "exact":
             alpha = step_exact(obj, x, dx)
         elif step_rule == "armijo":
-            if grad_F is None:
-                grad_F = grad_f + obj.g_grad(x)
             f_ref = objective if policy is None else policy.reference(objective)
-            alpha = step_armijo(obj, x, dx, grad_F, sigma=cfg.armijo_sigma,
-                                beta=beta, f_ref=f_ref)
+            alpha = step_armijo(obj, x, dx, grad_F, f_ref=f_ref)
         else:
             alpha = step_fixed(k)
         record.alpha = float(alpha)

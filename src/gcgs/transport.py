@@ -18,7 +18,7 @@ conditional gradient baseline.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ from scipy.special import xlogy
 from .numerics import as_matrix, make_rng
 from .solver import SplitObjective, cg_adapter
 
-# Output plans are floored here so entropy gradients stay finite.
+# Output plans and entropy-gradient arguments are floored here.
 _PLAN_FLOOR = 1e-300
 
 # Sinkhorn checks every _CHECK_EVERY sweeps and absorbs log-scalings
@@ -193,6 +193,8 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     The smooth part collects the linear cost and the Laplacian term; the
     entropy stays exact in the subproblem, which therefore reduces to
     entropic transport with cost ``C + lambda_lap * grad(Omega_lap)``.
+    The entropy gradient takes the plan floored at 1e-300, so it stays
+    finite on plans with zero entries such as transport-simplex vertices.
     With ``warm_start`` the oracle reuses its previous scaling
     potentials; such an objective holds per-solve state and must not be
     shared across concurrent solves.
@@ -219,19 +221,21 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
         f_eval=f_eval,
         f_grad=f_grad,
         g_eval=lambda gamma: problem.lambda_ent * negentropy(gamma),
-        g_grad=lambda gamma: problem.lambda_ent * negentropy_grad(gamma),
+        g_grad=lambda gamma: problem.lambda_ent * negentropy_grad(
+            np.maximum(gamma, _PLAN_FLOOR)),
         partial_oracle=oracle,
-        residual=lambda gamma: marginal_violation(gamma, problem.mu_s, problem.mu_t),
+        residual=lambda gamma, grad_F: marginal_violation(
+            gamma, problem.mu_s, problem.mu_t),
     )
 
 
 def ot_cg_split(problem: TransportProblem, warm_start: bool = True) -> SplitObjective:
     """Classic conditional gradient formulation of the same problem.
 
-    Fully linearizes the objective and calls the exact transportation
-    simplex as linear minimization oracle. Vertices of the polytope
-    carry exact zeros, so the entropy gradient is evaluated with a
-    floored argument; the entropy value itself needs no guard.
+    Fully linearizes the objective of :func:`ot_split` and calls the
+    exact transportation simplex as linear minimization oracle. Vertices
+    of the polytope carry exact zeros; the split's floored entropy
+    gradient keeps the full gradient finite there.
     """
     state = {"basis": None}
 
@@ -243,12 +247,7 @@ def ot_cg_split(problem: TransportProblem, warm_start: bool = True) -> SplitObje
             state["basis"] = basis
         return plan
 
-    split = ot_split(problem)
-
-    def guarded_entropy_grad(gamma):
-        return problem.lambda_ent * (1.0 + np.log(np.maximum(gamma, _PLAN_FLOOR)))
-
-    return cg_adapter(replace(split, g_grad=guarded_entropy_grad), lmo)
+    return cg_adapter(ot_split(problem), lmo)
 
 
 # ---------------------------------------------------------------------------

@@ -450,7 +450,8 @@ def test_11_constrained_solvers_agree_on_toy_classification():
 
     # the vertex-stepping baseline is expected to miss the tolerance
     r_cg = solve(en.en_cg_split(problem), x0, cfg)
-    cg_res = en.fixed_point_residual(problem, r_cg.x_final)
+    cg_res = en.fixed_point_residual(problem, r_cg.x_final,
+                                     en.objective_grad(problem, r_cg.x_final))
     iters = {k: r.trace[-1].k for k, r in runs.items()}
     print(f"ACCEPTANCE 11: PASS - cgs/spg/pg reach residual 1e-5 in "
           f"{iters['cgs']}/{iters['spg']}/{iters['pg']} iterations, "

@@ -175,6 +175,20 @@ class TestExitCodes:
     def test_cap_with_strict_exits_1(self, tmp_path):
         assert main(_enet_args(tmp_path, "--max-iter", "3", "--strict")) == 1
 
+    def test_negative_gap_exits_like_a_cap(self, tmp_path):
+        # the inexact Sinkhorn oracle's raw gap turns negative at iteration 3
+        args = ["ot", "--ns", "20", "--nt", "20", "--k-neighbors", "3",
+                "--lambda-ent", "0.05", "--lambda-lap", "1",
+                "--sinkhorn-tol", "1e-9", "--step", "armijo",
+                "--max-iter", "3", "--gap-tol", "0",
+                "--out", str(tmp_path / "trace.csv"),
+                "--summary", str(tmp_path / "summary.json")]
+        assert main(args) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["termination"] == "negative_gap"
+        assert summary["iterations"] == 3 and summary["final_gap"] == 0.0
+        assert main(args + ["--strict"]) == 1
+
     def test_strict_from_json_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"strict": True, "max_iter": 3}))

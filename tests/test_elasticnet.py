@@ -231,11 +231,13 @@ class TestFixedPointResidual:
         problem = _small_problem(seed=8, tau=1e3)
         x_star = ridge_solution(problem.Z, problem.y, problem.lam)
         assert np.abs(x_star).sum() < problem.tau  # genuinely interior
-        assert fixed_point_residual(problem, x_star) <= 1e-10
+        assert fixed_point_residual(
+            problem, x_star, objective_grad(problem, x_star)) <= 1e-10
 
     def test_positive_away_from_optimum(self):
         problem = _small_problem(seed=8)
-        assert fixed_point_residual(problem, np.zeros(12)) > 1e-2
+        x = np.zeros(12)
+        assert fixed_point_residual(problem, x, objective_grad(problem, x)) > 1e-2
 
 
 class TestEnSplit:
@@ -427,6 +429,31 @@ class TestBaselines:
             grad_f = loss_grad(problem, x)
             gap = surrogate_gap(x, en_oracle(problem, x, grad_f), grad_f, split)
             assert rec.surrogate_gap == max(gap, 0.0)
+
+    @pytest.mark.parametrize("make_split,projections",
+                             [(en_split, 2), (en_cg_split, 1)])
+    def test_splits_take_one_gradient_per_iterate(self, monkeypatch,
+                                                   make_split, projections):
+        calls = {"loss_grad": [], "project_l1": []}
+        for name, log in calls.items():
+            fn = getattr(elasticnet, name)
+            monkeypatch.setattr(
+                elasticnet, name,
+                lambda *a, _fn=fn, _log=log: _log.append(a) or _fn(*a))
+        problem = _small_problem(seed=28, tau=0.8)
+        cfg = SolverConfig(step_rule="exact", gap_tol=0.0, residual_tol=1e-6,
+                           max_iter=300)
+        result = solve(make_split(problem), np.zeros(12), cfg)
+        monkeypatch.undo()
+        n = len(result.trace)
+        assert n > 10
+        # the loop's one gradient feeds the residual; projections: the
+        # residual, plus the oracle for the splitting (cg's is a vertex)
+        assert len(calls["loss_grad"]) == n
+        assert len(calls["project_l1"]) == projections * n
+        for rec, (_, x) in zip(result.trace, calls["loss_grad"]):
+            assert rec.extra_residual == fixed_point_residual(
+                problem, x, objective_grad(problem, x))
 
     def test_traces_record_residuals_and_clamped_gaps(self):
         problem = _small_problem(seed=28, tau=0.8)

@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 
 import gcgs
 from gcgs.numerics import finite_diff_grad, make_rng
-from gcgs.solver import OracleError, SolverConfig, solve
+from gcgs.solver import OracleError, SolverConfig, solve, surrogate_gap
 from gcgs.transport import (
     ConvergenceError,
     TransportProblem,
@@ -755,8 +755,8 @@ class TestSplitObjectives:
             lambda_ent=lam,
         )
 
-    def _cluster_problem(self, seed=15):
-        Xs, Xt, mu_s, mu_t = make_cluster_data(12, 12, seed=seed)
+    def _cluster_problem(self, seed=15, n=12):
+        Xs, Xt, mu_s, mu_t = make_cluster_data(n, n, seed=seed)
         return TransportProblem(
             cost=squared_distances(Xs, Xt),
             mu_s=mu_s,
@@ -784,7 +784,7 @@ class TestSplitObjectives:
         gamma = np.outer(problem.mu_s, problem.mu_t)
         assert split.value(gamma) == pytest.approx(
             ot_objective(gamma, problem), rel=1e-13)
-        assert split.residual(gamma) == marginal_violation(
+        assert split.residual(gamma, split.grad(gamma)) == marginal_violation(
             gamma, problem.mu_s, problem.mu_t)
 
     def test_entropic_only_solve_needs_one_oracle_call(self):
@@ -833,6 +833,34 @@ class TestSplitObjectives:
         assert np.all(np.diff(objs) <= 1e-12)
         assert objs[-1] < objs[0]
         assert np.all(np.isfinite(result.x_final))
+
+    def test_negative_raw_gap_has_its_own_termination(self):
+        # the inexact Sinkhorn oracle returns a raw gap of about -1e-11 at
+        # iteration 3, which must not pass for a certified gap_tol stop
+        problem = self._cluster_problem(seed=0, n=20)
+        split = ot_split(problem)
+        result = solve(split, np.outer(problem.mu_s, problem.mu_t),
+                       SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=3))
+        assert result.termination == "negative_gap"
+        assert result.trace[-1].k == 3 and result.trace[-1].surrogate_gap == 0.0
+        x = result.x_final
+        grad_f = split.f_grad(x)
+        assert surrogate_gap(x, split.partial_oracle(x, grad_f), grad_f, split) < 0.0
+
+    @pytest.mark.parametrize("rule", ["exact", "armijo", "fixed"])
+    def test_split_solves_start_from_a_vertex(self, rule):
+        # a vertex carries exact zeros, where the unfloored entropy
+        # gradient is undefined
+        problem = self._cluster_problem(seed=0, n=20)
+        mu_s, mu_t = problem.mu_s, problem.mu_t
+        vertex = transport_lmo(problem.cost, mu_s, mu_t)
+        assert vertex.min() == 0.0
+        result = solve(ot_split(problem), vertex,
+                       SolverConfig(step_rule=rule, gap_tol=0.0, max_iter=5))
+        assert len(result.trace) == 6
+        assert result.x_final.min() >= 0.0
+        assert marginal_violation(result.x_final, mu_s, mu_t) <= 1e-9
+        assert result.objectives()[-1] < result.objectives()[0]
 
     def test_cg_split_gradient_finite_at_vertices(self):
         # LP vertices carry exact zeros; the floored entropy gradient

@@ -199,7 +199,7 @@ class TestSolve:
         # checked before the gap rule and fires on arrival
         obj = ridge_on_ball()
         opt = np.array([-0.25, 0.75])
-        obj.residual = lambda x: float(np.max(np.abs(x - opt)))
+        obj.residual = lambda x, grad_F: float(np.max(np.abs(x - opt)))
         cfg = SolverConfig(max_iter=5000, gap_tol=0.0, residual_tol=1e-3)
         res = solve(obj, np.zeros(2), cfg)
         assert res.termination == "fp_residual"
@@ -212,8 +212,6 @@ class TestSolve:
             SolverConfig(max_iter=0)
         with pytest.raises(ValueError):
             SolverConfig(gap_tol=-1e-3)
-        with pytest.raises(ValueError):
-            SolverConfig(armijo_beta=1.5)
 
 
 class TestCgAdapter:
