@@ -26,39 +26,51 @@ from . import elasticnet as en
 from . import transport as tr
 from .solver import SolverConfig, check_fixed_point, solve
 
-OT_DEFAULTS = {
-    "solver": "cgs",
-    "step": "exact",
-    "seed": 0,
-    "ns": 100,
-    "nt": 100,
-    "n_clusters": 3,
-    "noise": 0.05,
-    "k_neighbors": 10,
-    "lambda_ent": 1.7e-2,
-    "lambda_lap": 1e3,
-    "sinkhorn_tol": 1e-5,
-    "gap_tol": None,  # None: 1e-6 relative to the initial gap
-    "max_iter": 200,
-    "strict": False,
+STEPS = ("exact", "armijo", "fixed")
+
+# Every option of each experiment, declared once as
+# ``key: (default, type, choices)``. The command-line flag ``--key``
+# (underscores as dashes) and the check of ``--config`` JSON values are
+# both derived from these tables; a None default also accepts JSON null.
+OPTIONS = {
+    "ot": {
+        "solver": ("cgs", str, ("cgs", "cg")),
+        "step": ("exact", str, STEPS),
+        "seed": (0, int, None),
+        "ns": (100, int, None),
+        "nt": (100, int, None),
+        "n_clusters": (3, int, None),
+        "noise": (0.05, float, None),
+        "k_neighbors": (10, int, None),
+        "lambda_ent": (1.7e-2, float, None),
+        "lambda_lap": (1e3, float, None),
+        "sinkhorn_tol": (1e-5, float, None),
+        "gap_tol": (None, float, None),  # None: 1e-6 relative to the initial gap
+        "max_iter": (200, int, None),
+        "strict": (False, bool, None),
+    },
+    "enet": {
+        "solver": ("cgs", str, ("cgs", "cg", "spg", "pg")),
+        "step": ("exact", str, STEPS),
+        "seed": (0, int, None),
+        "n_samples": (200, int, None),
+        "n_features": (100, int, None),
+        "n_informative": (10, int, None),
+        "loss": ("squared", str, en.LOSSES),
+        "lam": (1.0, float, None),
+        "tau": (2.0, float, None),
+        "data": (None, str, None),
+        "label_column": ("label", str, None),
+        "residual_tol": (1e-5, float, None),
+        "gap_tol": (0.0, float, None),
+        "max_iter": (10000, int, None),
+        "strict": (False, bool, None),
+    },
 }
 
-ENET_DEFAULTS = {
-    "solver": "cgs",
-    "step": "exact",
-    "seed": 0,
-    "n_samples": 200,
-    "n_features": 100,
-    "n_informative": 10,
-    "loss": "squared",
-    "lam": 1.0,
-    "tau": 2.0,
-    "data": None,
-    "label_column": "label",
-    "residual_tol": 1e-5,
-    "gap_tol": 0.0,
-    "max_iter": 10000,
-    "strict": False,
+_HELP = {
+    "data": "CSV dataset instead of the toy generator",
+    "strict": "exit nonzero when the iteration cap is reached before convergence",
 }
 
 
@@ -71,57 +83,51 @@ def _build_parser():
         prog="gcgs",
         description="Conditional gradient splitting experiment runner.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    def common(p):
-        p.add_argument("--step", choices=("exact", "armijo", "fixed"))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--gap-tol", type=float, dest="gap_tol")
-        p.add_argument("--max-iter", type=int, dest="max_iter")
+    for experiment, title in (("ot", "regularized optimal transport"),
+                              ("enet", "L1-constrained elastic-net")):
+        p = sub.add_parser(experiment, help=title)
+        for key, (_, kind, choices) in OPTIONS[experiment].items():
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True,
+                               help=_HELP.get(key))
+            else:
+                p.add_argument(flag, type=kind, choices=choices,
+                               help=_HELP.get(key))
         p.add_argument("--config", help="JSON file with config values "
                        "(flags take precedence)")
         p.add_argument("--out", required=True, help="trace CSV path")
         p.add_argument("--summary", required=True, help="summary JSON path")
-        p.add_argument("--strict", action="store_const", const=True,
-                       default=None, help="exit nonzero when the iteration "
-                       "cap is reached before convergence")
-
-    p_ot = sub.add_parser("ot", help="regularized optimal transport")
-    p_ot.add_argument("--solver", choices=("cgs", "cg"))
-    p_ot.add_argument("--ns", type=int)
-    p_ot.add_argument("--nt", type=int)
-    p_ot.add_argument("--n-clusters", type=int, dest="n_clusters")
-    p_ot.add_argument("--noise", type=float)
-    p_ot.add_argument("--k-neighbors", type=int, dest="k_neighbors")
-    p_ot.add_argument("--lambda-ent", type=float, dest="lambda_ent")
-    p_ot.add_argument("--lambda-lap", type=float, dest="lambda_lap")
-    p_ot.add_argument("--sinkhorn-tol", type=float, dest="sinkhorn_tol")
-    common(p_ot)
-
-    p_en = sub.add_parser("enet", help="L1-constrained elastic-net")
-    p_en.add_argument("--solver", choices=("cgs", "cg", "spg", "pg"))
-    p_en.add_argument("--n-samples", type=int, dest="n_samples")
-    p_en.add_argument("--n-features", type=int, dest="n_features")
-    p_en.add_argument("--n-informative", type=int, dest="n_informative")
-    p_en.add_argument("--loss", choices=en.LOSSES)
-    p_en.add_argument("--lam", type=float)
-    p_en.add_argument("--tau", type=float)
-    p_en.add_argument("--data", help="CSV dataset instead of the toy generator")
-    p_en.add_argument("--label-column", dest="label_column")
-    p_en.add_argument("--residual-tol", type=float, dest="residual_tol")
-    common(p_en)
     return parser
+
+
+def _json_value(source, key, value, spec):
+    """A config-file value checked against its option's type and choices."""
+    default, kind, choices = spec
+    if value is None and default is None:
+        return None
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:  # bool is not accepted as int
+        raise ConfigError(f"{source}: {key!r} must be of type {kind.__name__}, "
+                          f"got {value!r}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{source}: {key!r} must be one of "
+                          f"{', '.join(choices)}, got {value!r}")
+    return value
 
 
 def parse_config(argv):
     """Resolve the effective run configuration.
 
     Precedence: command-line flags > JSON config file > defaults.
-    Unknown JSON keys are rejected.
+    Unknown JSON keys and values of the wrong type or outside the
+    option's choices are rejected.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    defaults = OT_DEFAULTS if args.experiment == "ot" else ENET_DEFAULTS
-    config = dict(defaults)
+    options = OPTIONS[args.experiment]
+    config = {key: spec[0] for key, spec in options.items()}
 
     if args.config is not None:
         try:
@@ -132,12 +138,12 @@ def parse_config(argv):
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: top level must be an object")
         for key, value in file_cfg.items():
-            if key not in defaults:
+            if key not in options:
                 raise ConfigError(f"{args.config}: unknown key {key!r}")
-            config[key] = value
+            config[key] = _json_value(args.config, key, value, options[key])
 
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key in options:
+        value = getattr(args, key)
         if value is not None:
             config[key] = value
 
@@ -200,10 +206,8 @@ def run_ot(config):
     if config["solver"] == "cgs":
         split = tr.ot_split(problem, sinkhorn_tol=stol,
                             sinkhorn_max_iter=50000, warm_start=True)
-    elif config["solver"] == "cg":
-        split = tr.ot_cg_split(problem, warm_start=True)
     else:
-        raise ConfigError(f"solver {config['solver']!r} not available for ot")
+        split = tr.ot_cg_split(problem, warm_start=True)
 
     gap_tol = config["gap_tol"]
     if gap_tol is None:
@@ -239,10 +243,8 @@ def run_enet(config):
         result = solve(en.en_cg_split(problem), x0, cfg)
     elif solver == "spg":
         result = en.spg_solve(problem, x0, cfg)
-    elif solver == "pg":
-        result = en.pg_solve(problem, x0, cfg)
     else:
-        raise ConfigError(f"unknown solver {solver!r}")
+        result = en.pg_solve(problem, x0, cfg)
     _write_trace(config["out"], result.trace, "fp_residual")
     _write_summary(config["summary"], config, result)
     return _exit_status(result.termination, config["strict"])
@@ -258,7 +260,7 @@ def main(argv=None):
         if config["experiment"] == "ot":
             return run_ot(config)
         return run_enet(config)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:  # includes ConfigError
         print(f"gcgs: {err}", file=sys.stderr)
         return 2
     except RuntimeError as err:  # solver/oracle failures

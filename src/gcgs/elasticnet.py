@@ -232,8 +232,8 @@ class Dataset:
     Z: np.ndarray
     y: np.ndarray
     split: np.ndarray  # "train" / "test" per row
-    feature_mean: np.ndarray = field(default=None)
-    feature_std: np.ndarray = field(default=None)
+    feature_mean: np.ndarray = field(init=False)
+    feature_std: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.Z = as_matrix(self.Z)
@@ -243,10 +243,9 @@ class Dataset:
             raise ValueError("inconsistent dataset row counts")
         if not np.all(np.isin(self.split, ("train", "test"))):
             raise ValueError("split entries must be 'train' or 'test'")
-        if self.feature_mean is None:
-            train = self.Z[self.split == "train"]
-            self.feature_mean = train.mean(axis=0)
-            self.feature_std = np.maximum(train.std(axis=0), 1e-12)
+        train = self.Z[self.split == "train"]
+        self.feature_mean = train.mean(axis=0)
+        self.feature_std = np.maximum(train.std(axis=0), 1e-12)
 
     def design(self, subset: str = "train"):
         """Normalized features and labels of one subset."""

@@ -1,8 +1,7 @@
 # -*- coding: utf-8 -*-
 """
 Shared numerical utilities: validated array construction, deterministic
-random number generation, derivative-free 1-D minimization and
-finite-difference gradient checks.
+random number generation and derivative-free 1-D minimization.
 """
 
 import math
@@ -11,6 +10,10 @@ import numpy as np
 
 # Inverse golden ratio, contraction factor of the section search.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Golden-section target bracket width and evaluation cap.
+_GOLDEN_TOL = 1e-10
+_GOLDEN_MAX_EVALS = 200
 
 
 class EvaluationError(RuntimeError):
@@ -48,28 +51,15 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def golden_section_min(phi, tol: float = 1e-10, max_evals: int = 200) -> float:
+def golden_section_min(phi) -> float:
     """Minimize a unimodal function ``phi`` over [0, 1] by golden-section search.
 
-    Parameters
-    ----------
-    phi : callable
-        Real function of a scalar in [0, 1].
-    tol : float
-        Target width of the bracketing interval; the returned point is
-        within ``tol`` of a minimizer for unimodal ``phi``.
-    max_evals : int
-        Hard cap on function evaluations.
-
-    Returns
-    -------
-    float
-        The best evaluated point among the interior search and the two
-        endpoints, so boundary minima (0 or 1) are returned exactly.
+    The bracket shrinks to width 1e-10, so for unimodal ``phi`` the
+    result is within 1e-10 of a minimizer; ``phi`` is evaluated at most
+    200 times. Returns the best evaluated point among the interior
+    search and the two endpoints, so boundary minima (0 or 1) are
+    returned exactly.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
     def ev(a):
         val = phi(a)
         if not np.isfinite(val):
@@ -82,7 +72,7 @@ def golden_section_min(phi, tol: float = 1e-10, max_evals: int = 200) -> float:
     x2 = lo + _INVPHI * (hi - lo)
     f1, f2 = ev(x1), ev(x2)
     n_evals = 4
-    while hi - lo > tol and n_evals < max_evals:
+    while hi - lo > _GOLDEN_TOL and n_evals < _GOLDEN_MAX_EVALS:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INVPHI * (hi - lo)
@@ -97,28 +87,3 @@ def golden_section_min(phi, tol: float = 1e-10, max_evals: int = 200) -> float:
     best_val, best_x = min(candidates, key=lambda t: t[0])
     return best_x
 
-
-def finite_diff_grad(func, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of ``func`` at ``x``.
-
-    ``func`` maps an array of the same shape as ``x`` to a scalar; ``x``
-    may be a vector or a matrix. Used as the independent oracle against
-    which every analytic gradient in the package is checked.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.array(x, dtype=np.float64, copy=True)
-    grad = np.zeros_like(x)
-    flat = grad.ravel()
-    xf = x.ravel()
-    for i in range(x.size):
-        orig = xf[i]
-        xf[i] = orig + h
-        f_plus = func(x)
-        xf[i] = orig - h
-        f_minus = func(x)
-        xf[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise EvaluationError(f"non-finite value in finite difference at index {i}")
-        flat[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad

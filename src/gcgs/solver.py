@@ -37,6 +37,9 @@ _TINY_STEP = 1e-14
 _ARMIJO_SIGMA = 1e-4
 _ARMIJO_BETA = 0.5
 
+# Step lengths at which estimate_curvature probes each sampled chord.
+_CURVATURE_ALPHAS = (0.1, 0.25, 0.5, 0.75, 1.0)
+
 
 class StallError(RuntimeError):
     """Backtracking line search could not find an acceptable step."""
@@ -98,10 +101,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.step_rule not in ("exact", "armijo", "fixed"):
             raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.gap_tol < 0:
-            raise ValueError("gap_tol must be >= 0")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not self.gap_tol >= 0:  # also rejects NaN
+            raise ValueError(f"gap_tol must be >= 0, got {self.gap_tol!r}")
+        if self.residual_tol is not None and not self.residual_tol >= 0:
+            raise ValueError(f"residual_tol must be >= 0, got {self.residual_tol!r}")
 
 
 @dataclass
@@ -150,7 +155,7 @@ def step_exact(obj: SplitObjective, x: np.ndarray, dx: np.ndarray) -> float:
         return 0.0
     if obj.exact_step is not None:
         return float(np.clip(obj.exact_step(x, dx), 0.0, 1.0))
-    return golden_section_min(lambda a: obj.value(x + a * dx), tol=1e-10)
+    return golden_section_min(lambda a: obj.value(x + a * dx))
 
 
 def step_armijo(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
@@ -344,15 +349,14 @@ def cg_adapter(obj: SplitObjective, lmo: Callable[[np.ndarray], np.ndarray]) -> 
 
 
 def estimate_curvature(obj: SplitObjective, sampler, rng,
-                       n_samples: int = 100,
-                       alphas=(0.1, 0.25, 0.5, 0.75, 1.0)) -> float:
+                       n_samples: int = 100) -> float:
     """Sampled lower estimate of the curvature constant of ``F = f + g``.
 
     ``sampler(rng)`` must yield a pair of feasible points ``(x, s)``. The
     estimate is the largest observed value of
     ``2 [F(x + a (s - x)) - F(x) - a <grad F(x), s - x>] / a**2``
-    over the samples and the step grid; it approaches the true constant
-    from below as sampling densifies.
+    over the samples and the steps ``a`` in {0.1, 0.25, 0.5, 0.75, 1};
+    it approaches the true constant from below as sampling densifies.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -362,7 +366,7 @@ def estimate_curvature(obj: SplitObjective, sampler, rng,
         dx = s - x
         fx = obj.value(x)
         slope = float(np.vdot(obj.grad(x), dx))
-        for a in alphas:
+        for a in _CURVATURE_ALPHAS:
             excess = obj.value(x + a * dx) - fx - a * slope
             best = max(best, 2.0 * excess / (a * a))
     return best

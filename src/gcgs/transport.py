@@ -73,17 +73,6 @@ def marginal_violation(gamma: np.ndarray, mu_s: np.ndarray, mu_t: np.ndarray) ->
     return float(max(row, col))
 
 
-def validate_plan(gamma: np.ndarray, mu_s, mu_t, tol: float = 1e-9) -> np.ndarray:
-    """Check nonnegativity and marginals of a transport plan."""
-    gamma = as_matrix(gamma)
-    if np.any(gamma < 0):
-        raise ValueError("transport plan has negative entries")
-    viol = marginal_violation(gamma, np.asarray(mu_s), np.asarray(mu_t))
-    if viol > tol:
-        raise ValueError(f"transport plan violates marginals by {viol:.3e}")
-    return gamma
-
-
 # ---------------------------------------------------------------------------
 # Regularizers and problem definition
 # ---------------------------------------------------------------------------
@@ -435,6 +424,8 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t, basis=None,
     cost = np.asarray(cost_adj, dtype=np.float64)
     a = as_histogram(mu_s)
     b = as_histogram(mu_t)
+    if cost.shape != (a.size, b.size):
+        raise ValueError("cost shape does not match the marginals")
     r, c = cost.shape
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost must be finite")
@@ -573,33 +564,3 @@ def squared_distances(Xs: np.ndarray, Xt: np.ndarray) -> np.ndarray:
           - 2.0 * (Xs @ Xt.T))
     return np.maximum(d2, 0.0)
 
-
-# ---------------------------------------------------------------------------
-# CSV serialization (dense matrices with a dimension header)
-# ---------------------------------------------------------------------------
-
-def save_matrix_csv(path, mat: np.ndarray) -> None:
-    """Write a dense matrix as CSV: first row ``rows,cols``, then data."""
-    mat = as_matrix(mat)
-    r, c = mat.shape
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{r},{c}\n")
-        for row in mat:
-            # repr of a Python float round-trips exactly
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    """Read a matrix written by :func:`save_matrix_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed dimension header")
-        r, c = int(header[0]), int(header[1])
-        mat = np.empty((r, c))
-        for i in range(r):
-            fields = fh.readline().strip().split(",")
-            if len(fields) != c:
-                raise ValueError(f"{path}: row {i} has {len(fields)} fields, expected {c}")
-            mat[i] = [float(x) for x in fields]
-    return mat

@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from gcgs.numerics import finite_diff_grad, make_rng
+from gcgs.numerics import make_rng
 from gcgs.solver import (
     SolverConfig,
     SplitObjective,
@@ -30,6 +30,7 @@ from gcgs import transport as tr
 
 from test_ot import entropic_plan_2x2, lmo_by_enumeration
 from test_elasticnet import project_l1_bisection
+from test_numerics import finite_diff_grad
 
 
 def _hist(rng, n):

@@ -159,6 +159,35 @@ class TestConfigPrecedence:
             main(_enet_args(tmp_path, "--bogus", "1"))
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("enet", "max_iter", 2.5),
+        ("enet", "max_iter", True),
+        ("enet", "lam", "1.0"),
+        ("enet", "loss", "hinge"),
+        ("enet", "strict", 1),
+        ("enet", "gap_tol", None),
+        ("ot", "ns", "12"),
+        ("ot", "step", "newton"),
+        ("ot", "sinkhorn_tol", [1e-8]),
+    ])
+    def test_wrong_type_or_choice_in_json_exits_2(self, tmp_path, capsys,
+                                                    experiment, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        args = _ot_args if experiment == "ot" else _enet_args
+        assert main(args(tmp_path, "--config", str(cfg))) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_json_ints_for_floats_and_null_for_unset(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gap_tol": 1, "data": None}))
+        config = parse_config(_enet_args(tmp_path, "--config", str(cfg)))
+        assert config["gap_tol"] == 1.0 and type(config["gap_tol"]) is float
+        assert config["data"] is None
+        cfg.write_text(json.dumps({"gap_tol": None, "noise": 0}))
+        config = parse_config(_ot_args(tmp_path, "--config", str(cfg)))
+        assert config["gap_tol"] is None and type(config["noise"]) is float
+
     def test_parse_config_resolves_defaults(self, tmp_path):
         config = parse_config(_enet_args(tmp_path))
         assert config["loss"] == "squared"
@@ -188,6 +217,12 @@ class TestExitCodes:
         assert summary["termination"] == "negative_gap"
         assert summary["iterations"] == 3 and summary["final_gap"] == 0.0
         assert main(args + ["--strict"]) == 1
+
+    def test_nan_or_negative_tolerance_exits_2(self, tmp_path, capsys):
+        assert main(_ot_args(tmp_path, "--gap-tol", "nan")) == 2
+        assert "gap_tol" in capsys.readouterr().err
+        assert main(_enet_args(tmp_path, "--residual-tol", "-1")) == 2
+        assert "residual_tol" in capsys.readouterr().err
 
     def test_strict_from_json_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gcgs import elasticnet
-from gcgs.numerics import finite_diff_grad, golden_section_min, make_rng
+from gcgs.numerics import golden_section_min, make_rng
 from gcgs.solver import SolverConfig, solve, surrogate_gap
 from gcgs.elasticnet import (
     Dataset,
@@ -32,6 +32,7 @@ from gcgs.elasticnet import (
     save_csv_dataset,
     spg_solve,
 )
+from test_numerics import finite_diff_grad
 
 
 def project_l1_bisection(v, tau):

@@ -1,8 +1,39 @@
+"""Tests for the shared numerical utilities.
+
+Also home of :func:`finite_diff_grad`, the central-difference oracle
+against which the other test modules check every analytic gradient.
+"""
+
 import numpy as np
 import pytest
 
 from gcgs.numerics import (EvaluationError, as_matrix, as_vector,
-                           finite_diff_grad, golden_section_min, make_rng)
+                           golden_section_min, make_rng)
+
+
+def finite_diff_grad(func, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of ``func`` at ``x``.
+
+    ``func`` maps an array of the same shape as ``x`` to a scalar; ``x``
+    may be a vector or a matrix and is not modified.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = np.array(x, dtype=np.float64, copy=True)
+    grad = np.zeros_like(x)
+    flat = grad.ravel()
+    xf = x.ravel()
+    for i in range(x.size):
+        orig = xf[i]
+        xf[i] = orig + h
+        f_plus = func(x)
+        xf[i] = orig - h
+        f_minus = func(x)
+        xf[i] = orig
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise EvaluationError(f"non-finite value in finite difference at index {i}")
+        flat[i] = (f_plus - f_minus) / (2.0 * h)
+    return grad
 
 
 class TestValidation:
@@ -65,10 +96,6 @@ class TestGoldenSection:
     def test_nonfinite_raises(self):
         with pytest.raises(EvaluationError):
             golden_section_min(lambda a: np.nan)
-
-    def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            golden_section_min(lambda a: a, tol=0.0)
 
     def test_returns_python_float(self):
         assert type(golden_section_min(lambda a: (a - 0.5) ** 2)) is float

@@ -212,6 +212,13 @@ class TestSolve:
             SolverConfig(max_iter=0)
         with pytest.raises(ValueError):
             SolverConfig(gap_tol=-1e-3)
+        with pytest.raises(ValueError, match="gap_tol"):
+            SolverConfig(gap_tol=float("nan"))
+        for bad in (-1e-3, float("nan")):
+            with pytest.raises(ValueError, match="residual_tol"):
+                SolverConfig(residual_tol=bad)
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(max_iter=2.5)
 
 
 class TestCgAdapter:
