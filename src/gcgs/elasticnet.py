@@ -244,6 +244,8 @@ class Dataset:
         if not np.all(np.isin(self.split, ("train", "test"))):
             raise ValueError("split entries must be 'train' or 'test'")
         train = self.Z[self.split == "train"]
+        if train.shape[0] == 0:
+            raise ValueError("split has no 'train' row")
         self.feature_mean = train.mean(axis=0)
         self.feature_std = np.maximum(train.std(axis=0), 1e-12)
 
@@ -288,18 +290,6 @@ def problem_from_dataset(dataset: Dataset, loss: str, lam: float,
     """Elastic-net problem on the normalized training rows."""
     Zn, y = dataset.design("train")
     return ElasticNetProblem(Z=Zn, y=y, loss=loss, lam=lam, tau=tau)
-
-
-def save_csv_dataset(path, dataset: Dataset, label_column: str = "label") -> None:
-    """Write raw features and labels as CSV (header row, full precision)."""
-    d = dataset.Z.shape[1]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{j}" for j in range(d)] + [label_column])
-        for i in range(dataset.Z.shape[0]):
-            # repr of a Python float round-trips exactly
-            writer.writerow([repr(float(v)) for v in dataset.Z[i]]
-                            + [repr(float(dataset.y[i]))])
 
 
 def load_csv_dataset(path, label_column: str = "label") -> Dataset:

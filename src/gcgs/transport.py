@@ -355,39 +355,41 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
 # Exact linear minimization: transportation simplex
 # ---------------------------------------------------------------------------
 
-def _rooted_tree(basis, cost, r, c):
+def _rooted_tree(basis, costs, r, c):
     """Root the basis tree at supply node 0 (demand ``j`` is node ``r + j``).
 
-    Returns the potentials ``(u, v)`` with ``u[0] = 0`` and
-    ``u_i + v_j = c_ij`` on every basic cell, each node's parent and
-    parent-cell index, its depth and the breadth-first order. Raises
-    ``ValueError`` when a cell is out of range, a node is reached twice
-    or the walk misses a node, i.e. unless the cells span a tree.
+    ``costs`` holds the cost rows as lists. Returns the potentials as one
+    list, ``u`` then ``v``, with ``u[0] = 0`` and ``u_i + v_j = c_ij`` on
+    every basic cell, each node's parent and parent-cell index, its
+    depth, the breadth-first order and the adjacency (``{other node:
+    cell index}`` per node). Raises ``ValueError`` when a cell is out of
+    range, a node is reached twice or the walk misses a node, i.e.
+    unless the cells span a tree.
     """
-    adjacency = [[] for _ in range(r + c)]
+    adjacency = [{} for _ in range(r + c)]
     for t, (i, j) in enumerate(basis):
         if not (0 <= i < r and 0 <= j < c):
             raise ValueError(f"basis cell {(i, j)} is out of range for {r}x{c}")
-        cij = cost[i, j]
-        adjacency[i].append((r + j, t, cij))
-        adjacency[r + j].append((i, t, cij))
+        if r + j in adjacency[i]:
+            raise ValueError("basis cells repeat or close a cycle")
+        adjacency[i][r + j] = adjacency[r + j][i] = t
     pot = [0.0] * (r + c)
     parent, edge, depth = [0] * (r + c), [-1] * (r + c), [-1] * (r + c)
     depth[0] = 0
     order = [0]
     for node in order:
-        for other, t, cij in adjacency[node]:
+        for other, t in adjacency[node].items():
             if t == edge[node]:
                 continue
             if depth[other] >= 0:
                 raise ValueError("basis cells repeat or close a cycle")
             parent[other], edge[other], depth[other] = node, t, depth[node] + 1
-            pot[other] = cij - pot[node]
+            i, j = basis[t]
+            pot[other] = costs[i][j] - pot[node]
             order.append(other)
     if len(order) < r + c:
         raise ValueError("basis cells do not span all rows and columns")
-    pot = np.array(pot)
-    return (pot[:r], pot[r:]), parent, edge, depth, order
+    return pot, parent, edge, depth, order, adjacency
 
 
 def _subtree_flows(mass, parent, edge, order):
@@ -405,14 +407,16 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t, basis=None,
     """Exact minimizer of ``<gamma, cost_adj>`` over the transport polytope.
 
     Transportation simplex with a north-west-corner start and MODI
-    pivoting. Each pivot roots the basis tree once: the tree gives the
-    duals, the entering cycle (climbing from both ends of the entering
-    cell to their common ancestor) and the basic flows as subtree sums.
-    Marginals are perturbed by ``i * 1e-12`` (then re-normalized)
-    against degenerate pivoting; the returned vertex is solved on the
-    final tree against the original marginals, so its row and column
-    sums are exact up to summation error. Optimality is certified by
-    dual potentials with all reduced costs ``>= -1e-9``.
+    pivoting. The basis tree is rooted once, giving the duals and the
+    basic flows as subtree sums, and kept across pivots: each pivot
+    climbs from both ends of the entering cell to their common ancestor
+    for the cycle, shifts its flows and re-hangs the subtree the leaving
+    cell cuts off, recomputing only that subtree's duals. Marginals are
+    perturbed by ``i * 1e-12`` (then re-normalized) against degenerate
+    pivoting; the returned vertex is solved on the final tree against
+    the original marginals, so its row and column sums are exact up to
+    summation error. Optimality is certified by dual potentials with all
+    reduced costs ``>= -1e-9``.
 
     ``basis`` warm-starts from a previous optimal basis (the feasible
     bases depend only on the marginals, so any earlier basis for the
@@ -460,14 +464,18 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t, basis=None,
         if len(basis) != r + c - 1:
             raise ValueError("warm-start basis has the wrong size")
 
+    costs = cost.tolist()
+    pot, parent, edge, depth, order, adjacency = _rooted_tree(basis, costs, r, c)
+    flows = _subtree_flows(perturbed, parent, edge, order)
+    if min(flows) < -1e-9:
+        raise ValueError("warm-start basis is not feasible for these marginals")
+    duals = np.array(pot)
+    u, v = duals[:r], duals[r:]
     max_pivots = 4 * r * c + 1000
     for pivot in range(max_pivots + 1):
-        (u, v), parent, edge, depth, order = _rooted_tree(basis, cost, r, c)
-        flows = _subtree_flows(perturbed, parent, edge, order)
-        if pivot == 0 and min(flows) < -1e-9:
-            raise ValueError("warm-start basis is not feasible for these marginals")
-        reduced = cost - u[:, None] - v[None, :]
-        flat = int(np.argmin(reduced))
+        reduced = cost - u[:, None]
+        reduced -= v
+        flat = int(reduced.argmin())
         ei, ej = divmod(flat, c)
         if reduced[ei, ej] >= -1e-11:
             break
@@ -483,9 +491,37 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t, basis=None,
             sides[k].append(edge[ends[k]])
             ends[k] = parent[ends[k]]
         losing = sides[1][0::2] + sides[0][0::2][::-1]
-        basis[min(losing, key=flows.__getitem__)] = (ei, ej)
+        leaving = min(losing, key=flows.__getitem__)
+        theta = flows[leaving]
+        for t in losing:
+            flows[t] -= theta
+        for t in sides[0][1::2] + sides[1][1::2]:
+            flows[t] += theta
+        flows[leaving] = theta
+        i, j = basis[leaving]
+        del adjacency[i][r + j], adjacency[r + j][i]
+        basis[leaving] = (ei, ej)
+        adjacency[ei][r + ej] = adjacency[r + ej][ei] = leaving
+        # the leaving cell cut off the subtree holding the entering end on
+        # its side: hang it from the other end; each dual is recomputed
+        # along its root path, so it rounds exactly as in a full pass
+        top, below = (r + ej, ei) if leaving in sides[0] else (ei, r + ej)
+        parent[below], edge[below], depth[below] = top, leaving, depth[top] + 1
+        pot[below] = costs[ei][ej] - pot[top]
+        subtree = [below]
+        for node in subtree:
+            for other, t in adjacency[node].items():
+                if other != parent[node]:
+                    parent[other], edge[other] = node, t
+                    depth[other] = depth[node] + 1
+                    i, j = basis[t]
+                    pot[other] = costs[i][j] - pot[node]
+                    subtree.append(other)
+        duals[subtree] = [pot[node] for node in subtree]
 
+    pot, parent, edge, _, order, _ = _rooted_tree(basis, costs, r, c)
     final = _subtree_flows(np.concatenate([a, b]).tolist(), parent, edge, order)
+    u, v = np.array(pot[:r]), np.array(pot[r:])
     gamma = np.zeros((r, c))
     rows, cols = zip(*basis)
     gamma[rows, cols] = np.clip(final, 0.0, None)

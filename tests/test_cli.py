@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from gcgs.cli import main, parse_config, ConfigError
-from gcgs.elasticnet import make_toy_classification, save_csv_dataset
+from gcgs.elasticnet import make_toy_classification
+from test_elasticnet import save_csv_dataset
 
 
 def _ot_args(tmp_path, *extra):

@@ -6,6 +6,8 @@ regularized subproblem, ridge closed forms for unconstrained runs, and
 central finite differences for gradients.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -29,10 +31,24 @@ from gcgs.elasticnet import (
     pg_solve,
     problem_from_dataset,
     project_l1,
-    save_csv_dataset,
     spg_solve,
 )
 from test_numerics import finite_diff_grad
+
+
+def save_csv_dataset(path, dataset, label_column="label"):
+    """Write raw features and labels as CSV (header row, full precision).
+
+    No split column is written: ``load_csv_dataset`` re-derives the split.
+    """
+    d = dataset.Z.shape[1]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"f{j}" for j in range(d)] + [label_column])
+        for i in range(dataset.Z.shape[0]):
+            # repr of a Python float round-trips exactly
+            writer.writerow([repr(float(v)) for v in dataset.Z[i]]
+                            + [repr(float(dataset.y[i]))])
 
 
 def project_l1_bisection(v, tau):
@@ -519,6 +535,11 @@ class TestToyData:
         with pytest.raises(ValueError, match="split"):
             Dataset(Z=np.zeros((2, 2)), y=np.zeros(2),
                     split=np.array(["train", "holdout"]))
+
+    def test_split_without_train_rows_raises(self):
+        # training statistics need at least one training row
+        with pytest.raises(ValueError, match="no 'train' row"):
+            Dataset(Z=np.ones((3, 2)), y=[1.0, -1.0, 1.0], split=["test"] * 3)
 
     def test_problem_from_dataset_uses_train_rows(self):
         ds = make_toy_classification(50, 6, 2, seed=9)

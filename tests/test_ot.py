@@ -1,9 +1,10 @@
 """Tests for the transport stack: Sinkhorn, the exact LMO, regularizers.
 
-Expected values come from four independent oracles defined below:
+Expected values come from five independent oracles defined below:
 a bisection solver for 2x2 entropic transport (one free parameter),
 a log-domain Sinkhorn that never leaves the log domain, brute-force
-vertex enumeration of small transport polytopes, and scipy's LP solver
+vertex enumeration of small transport polytopes, a transportation
+simplex that rebuilds its basis tree every pivot, and scipy's LP solver
 for medium instances.
 """
 
@@ -148,6 +149,78 @@ def sinkhorn_log_reference(cost, a, b, lam, tol, max_iter=200000, g=None):
         if np.max(np.abs(plan.sum(axis=1) - a)) <= tol:
             return plan
     return None
+
+
+def transport_lmo_rebuild_reference(cost, a, b):
+    """Transportation simplex that re-roots the whole basis tree every pivot.
+
+    The same pivot rules as ``transport_lmo`` (north-west-corner start on
+    marginals perturbed by ``i * 1e-12``, entering cell the first argmin
+    of the reduced costs, leaving cell the first minimum flow among the
+    losing cycle cells), but every pivot recomputes the duals and the
+    basic flows from scratch on the rooted tree. Returns the plan.
+    """
+    r, c = cost.shape
+    ap = a + 1e-12 * np.arange(1, r + 1)
+    bp = b + 1e-12 * np.arange(1, c + 1)
+    perturbed = np.concatenate([ap / ap.sum(), bp / bp.sum()])
+    rem = perturbed.copy()
+    basis, i, j = [], 0, 0
+    while True:
+        x = min(rem[i], rem[r + j])
+        basis.append((i, j))
+        rem[i] -= x
+        rem[r + j] -= x
+        if i == r - 1 and j == c - 1:
+            break
+        if rem[i] <= rem[r + j] and i < r - 1:
+            i += 1
+        elif j < c - 1:
+            j += 1
+        else:
+            i += 1
+
+    def rooted(mass):
+        adjacency = [[] for _ in range(r + c)]
+        for t, (i, j) in enumerate(basis):
+            adjacency[i].append((r + j, t))
+            adjacency[r + j].append((i, t))
+        pot = np.zeros(r + c)
+        parent, edge, depth = [0] * (r + c), [-1] * (r + c), [0] * (r + c)
+        order = [0]
+        for node in order:
+            for other, t in adjacency[node]:
+                if t != edge[node]:
+                    parent[other], edge[other] = node, t
+                    depth[other] = depth[node] + 1
+                    pot[other] = cost[basis[t]] - pot[node]
+                    order.append(other)
+        excess, flows = list(mass), [0.0] * len(basis)
+        for node in order[:0:-1]:
+            flows[edge[node]] = excess[node]
+            excess[parent[node]] -= excess[node]
+        return pot[:r], pot[r:], parent, edge, depth, flows
+
+    for _ in range(4 * r * c + 1000):
+        u, v, parent, edge, depth, flows = rooted(perturbed)
+        reduced = cost - u[:, None] - v[None, :]
+        ei, ej = divmod(int(np.argmin(reduced)), c)
+        if reduced[ei, ej] >= -1e-11:
+            break
+        sides, ends = ([], []), [ei, r + ej]
+        while ends[0] != ends[1]:
+            k = 0 if depth[ends[0]] >= depth[ends[1]] else 1
+            sides[k].append(edge[ends[k]])
+            ends[k] = parent[ends[k]]
+        losing = sides[1][0::2] + sides[0][0::2][::-1]
+        basis[min(losing, key=flows.__getitem__)] = (ei, ej)
+    else:
+        raise AssertionError("reference simplex exhausted its pivot budget")
+    final = rooted(np.concatenate([a, b]))[-1]
+    gamma = np.zeros((r, c))
+    for t, cell in enumerate(basis):
+        gamma[cell] = max(final[t], 0.0)
+    return gamma
 
 
 def _hist(rng, n):
@@ -467,6 +540,45 @@ class TestTransportLmo:
         _, other_basis = transport_lmo(other, a, b, return_basis=True)
         warm = transport_lmo(cost, a, b, basis=other_basis)
         assert abs(float(np.vdot(warm, cost)) - primal) <= 1e-12
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_property_matches_rebuild_reference(self, data):
+        """Cold and warm calls against the rebuild-every-pivot simplex.
+
+        On exact flow ties the kept tree may pick another leaving cell
+        than the reference, so bases are not compared: values are, and
+        the duals must certify optimality on their own.
+        """
+        r, c = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+        weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+        def hist(n):
+            w = data.draw(hnp.arrays(np.float64, n, elements=weight)
+                          .filter(lambda w: w.sum() > 0))
+            return w / w.sum()
+
+        def cost_matrix():
+            if data.draw(st.booleans()):
+                return data.draw(hnp.arrays(
+                    np.int64, (r, c), elements=st.integers(0, 3))).astype(np.float64)
+            return data.draw(hnp.arrays(np.float64, (r, c),
+                                        elements=st.floats(0.0, 1.0)))
+
+        a, b = hist(r), hist(c)
+        cost, other = cost_matrix(), cost_matrix()
+        _, other_basis = transport_lmo(other, a, b, return_basis=True)
+        lp_value = float(np.vdot(transport_lmo_rebuild_reference(cost, a, b), cost))
+        for start in (None, other_basis):
+            gamma, basis, (u, v) = transport_lmo(
+                cost, a, b, basis=start, return_basis=True, return_duals=True)
+            primal = float(np.vdot(gamma, cost))
+            assert abs(primal - lp_value) <= 1e-12
+            assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
+            assert abs(primal - float(a @ u + b @ v)) <= 1e-9
+            # an optimal basis needs no pivot and re-solves to the same plan
+            np.testing.assert_array_equal(
+                transport_lmo(cost, a, b, basis=basis), gamma)
 
     def test_degenerate_uniform_marginals(self):
         # uniform-to-uniform with a Monge cost: many ties, still exact
@@ -860,6 +972,29 @@ class TestSplitObjectives:
         assert result.x_final.min() >= 0.0
         assert marginal_violation(result.x_final, mu_s, mu_t) <= 1e-9
         assert result.objectives()[-1] < result.objectives()[0]
+
+    def test_cg_split_roots_the_basis_tree_at_most_twice_per_call(self, monkeypatch):
+        # the tree is rooted once to start and once for the returned
+        # plan; pivots update it in place instead of rebuilding it
+        calls = {"lmo": 0, "rooted": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        transport = gcgs.transport
+        monkeypatch.setattr(transport, "transport_lmo",
+                            counted("lmo", transport.transport_lmo))
+        monkeypatch.setattr(transport, "_rooted_tree",
+                            counted("rooted", transport._rooted_tree))
+        problem = self._cluster_problem(seed=0, n=30)
+        solve(ot_cg_split(problem, warm_start=True),
+              np.outer(problem.mu_s, problem.mu_t),
+              SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=10))
+        assert calls["lmo"] >= 10
+        assert calls["rooted"] <= 2 * calls["lmo"]
 
     def test_cg_split_gradient_finite_at_vertices(self):
         # LP vertices carry exact zeros; the floored entropy gradient
