@@ -1,7 +1,9 @@
 # -*- coding: utf-8 -*-
 """
 Shared numerical utilities: validated array construction, deterministic
-random number generation and derivative-free 1-D minimization.
+random number generation and 1-D minimization over [0, 1], by
+golden-section search on values or by safeguarded Newton on the
+derivative of a convex function.
 """
 
 import math
@@ -14,6 +16,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden-section target bracket width and evaluation cap.
 _GOLDEN_TOL = 1e-10
 _GOLDEN_MAX_EVALS = 200
+
+# Safeguarded Newton: bracket width at which it stops, and its step cap.
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 100
 
 
 class EvaluationError(RuntimeError):
@@ -87,3 +93,48 @@ def golden_section_min(phi) -> float:
     best_val, best_x = min(candidates, key=lambda t: t[0])
     return best_x
 
+
+def convex_min_unit(dphi) -> float:
+    """Minimize a convex function over [0, 1] from its first two derivatives.
+
+    ``dphi(a)`` returns ``(phi'(a), phi''(a))``. Returns 0 when
+    ``phi'(0) >= 0`` and 1 when ``phi'(1) <= 0``; endpoint slopes may be
+    infinite. Otherwise Newton steps on ``phi'`` run inside a bracket
+    ``[lo, hi]`` with ``phi'(lo) < 0 < phi'(hi)``, shrunk on the sign of
+    every new slope; a Newton point outside the bracket, or a curvature
+    that is not finite and positive, is replaced by the bisection point.
+    A Newton step below 5e-13 is lengthened by 5e-13, so a converged
+    search ends with a bracket across the root. Stops at ``phi' = 0`` or
+    at a bracket width of 1e-12 (at most 100 steps). A NaN endpoint
+    slope, or a non-finite one inside (0, 1), raises
+    :class:`EvaluationError`.
+    """
+    def ev(a):
+        slope, curv = dphi(a)
+        if math.isnan(slope) or (0.0 < a < 1.0 and not math.isfinite(slope)):
+            raise EvaluationError(f"phi'({a!r}) is not finite: {slope!r}")
+        return slope, curv
+
+    slope, curv = ev(0.0)
+    if slope >= 0.0:
+        return 0.0
+    if ev(1.0)[0] <= 0.0:
+        return 1.0
+    lo, hi, a = 0.0, 1.0, 0.0
+    for _ in range(_NEWTON_MAX_ITER):
+        step = slope / curv if 0.0 < curv < math.inf else math.nan
+        if abs(step) <= 0.5 * _NEWTON_TOL:
+            # a converged Newton step overshoots by half the tolerance,
+            # so the next slope closes the bracket if the root is there
+            step += math.copysign(0.5 * _NEWTON_TOL, step)
+        a = a - step if lo < a - step < hi else 0.5 * (lo + hi)
+        slope, curv = ev(a)
+        if slope == 0.0:
+            break
+        if slope < 0.0:
+            lo = a
+        else:
+            hi = a
+        if hi - lo <= _NEWTON_TOL:
+            break
+    return float(a)

@@ -59,7 +59,8 @@ class SplitObjective:
 
     ``partial_oracle(x, grad_f)`` must return a feasible minimizer of
     ``<grad_f, s> + g(s)`` over the feasible set. ``exact_step``, when
-    given, replaces the golden-section line search with a closed form;
+    given, replaces the golden-section line search with a
+    problem-supplied 1-D minimizer;
     ``residual(x, grad_F)``, given ``grad_F = grad f(x) + grad g(x)``, is
     an optional problem-specific optimality measure recorded along the
     trace and usable as a stopping rule.
@@ -147,14 +148,18 @@ def surrogate_gap(x: np.ndarray, s: np.ndarray, grad_f: np.ndarray,
 def step_exact(obj: SplitObjective, x: np.ndarray, dx: np.ndarray) -> float:
     """Step length minimizing ``F(x + a dx)`` over [0, 1].
 
-    Uses the objective's closed form when available, otherwise a
+    Uses the objective's own ``exact_step`` when available, otherwise a
     golden-section search (200-evaluation cap). Returns 0 for a zero
-    direction.
+    direction; a non-finite ``exact_step`` result raises
+    :class:`~gcgs.numerics.EvaluationError`.
     """
     if not np.any(dx):
         return 0.0
     if obj.exact_step is not None:
-        return float(np.clip(obj.exact_step(x, dx), 0.0, 1.0))
+        alpha = obj.exact_step(x, dx)
+        if not np.isfinite(alpha):
+            raise EvaluationError(f"exact step is not finite: {alpha!r}")
+        return float(np.clip(alpha, 0.0, 1.0))
     return golden_section_min(lambda a: obj.value(x + a * dx))
 
 

@@ -34,6 +34,7 @@ from gcgs.elasticnet import (
     spg_solve,
 )
 from test_numerics import finite_diff_grad
+from test_solver import assert_chord_steps_agree
 
 
 def save_csv_dataset(path, dataset, label_column="label"):
@@ -312,16 +313,21 @@ class TestEnSplit:
         assert result.termination == "fp_residual"
         assert len(result.trace) == 1 and result.trace[0].k == 0
 
-    def test_golden_section_path_for_logistic(self):
-        problem = _small_problem(seed=16, d=6, loss="logistic", tau=1.5)
-        split = en_split(problem)
-        assert split.exact_step is None
-        result = solve(split, np.zeros(6),
-                       SolverConfig(step_rule="exact", gap_tol=1e-9,
-                                    max_iter=300))
-        objs = result.objectives()
-        assert np.all(np.diff(objs) <= 1e-12)
-        assert objs[-1] < objs[0]
+    def test_chord_step_agrees_with_golden_section(self):
+        for loss in ("logistic", "squared_hinge"):
+            problem = _small_problem(seed=16, d=6, loss=loss, tau=1.5)
+            split = en_split(problem)
+            # the splitting run nears its optimum within a few steps, where
+            # golden section no longer resolves the step to 1e-6
+            assert_chord_steps_agree(split, np.zeros(6), max_iter=5)
+            assert_chord_steps_agree(en_cg_split(problem), np.zeros(6),
+                                     max_iter=12)
+            result = solve(split, np.zeros(6),
+                           SolverConfig(step_rule="exact", gap_tol=1e-9,
+                                        max_iter=300))
+            objs = result.objectives()
+            assert np.all(np.diff(objs) <= 1e-12)
+            assert objs[-1] < objs[0]
 
 
 class TestCgSplit:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gcgs.numerics import (EvaluationError, as_matrix, as_vector,
-                           golden_section_min, make_rng)
+                           convex_min_unit, golden_section_min, make_rng)
 
 
 def finite_diff_grad(func, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -99,6 +99,65 @@ class TestGoldenSection:
 
     def test_returns_python_float(self):
         assert type(golden_section_min(lambda a: (a - 0.5) ** 2)) is float
+
+
+class TestConvexMinUnit:
+    def test_interior_minimum_of_quadratic(self):
+        # one Newton step lands on the root, the next slope is exactly 0
+        assert convex_min_unit(lambda a: (2.0 * (a - 0.3), 2.0)) == pytest.approx(
+            0.3, abs=1e-12)
+
+    def test_endpoints_returned_exactly(self):
+        assert convex_min_unit(lambda a: (1.0 + a, 1.0)) == 0.0
+        assert convex_min_unit(lambda a: (a - 2.0, 1.0)) == 1.0
+        # a zero slope at an end also stops there, as golden section does
+        assert convex_min_unit(lambda a: (a, 1.0)) == 0.0
+        assert convex_min_unit(lambda a: (a - 1.0, 1.0)) == 1.0
+
+    def test_infinite_endpoint_slopes(self):
+        # phi(a) = a log a + (1 - a) log(1 - a) - 3a: slope log(a / (1 - a)) - 3
+        # is -inf at 0 and +inf at 1; the minimizer is the logistic of 3
+        def dphi(a):
+            a = np.float64(a)
+            with np.errstate(divide="ignore"):
+                return (float(np.log(a) - np.log1p(-a)) - 3.0,
+                        float(1.0 / a + 1.0 / (1.0 - a)))
+
+        a = convex_min_unit(dphi)
+        assert a == pytest.approx(1.0 / (1.0 + np.exp(-3.0)), abs=1e-12)
+
+    def test_steep_log_slope_near_zero(self):
+        # the curvature at 0 is 1e300, so the first Newton step is ~1e-298;
+        # the search must still reach the minimizer at 0.5
+        def dphi(a):
+            y = 1e-300 + a
+            return float(np.log(y / 0.5)), float(1.0 / y)
+
+        assert convex_min_unit(dphi) == pytest.approx(0.5, abs=1e-12)
+
+    def test_kinked_slope(self):
+        # piecewise-linear slope with a kink at the root: 10 (a - 0.2) on the
+        # left, (a - 0.2) on the right
+        def dphi(a):
+            return (10.0 if a < 0.2 else 1.0) * (a - 0.2), (10.0 if a < 0.2 else 1.0)
+
+        assert convex_min_unit(dphi) == pytest.approx(0.2, abs=1e-12)
+
+    def test_smooth_convex_minimum(self):
+        # phi(a) = exp(3a) - 6a is minimized at log(2) / 3
+        a = convex_min_unit(lambda a: (3.0 * np.exp(3.0 * a) - 6.0,
+                                       9.0 * np.exp(3.0 * a)))
+        assert abs(a - np.log(2.0) / 3.0) <= 1e-12
+
+    def test_nonfinite_slopes_raise(self):
+        with pytest.raises(EvaluationError):
+            convex_min_unit(lambda a: (np.nan, 1.0))
+        with pytest.raises(EvaluationError):
+            convex_min_unit(lambda a: (-1.0 if a == 0.0 else 1.0 if a == 1.0
+                                       else np.inf, 1.0))
+
+    def test_returns_python_float(self):
+        assert type(convex_min_unit(lambda a: (np.float64(a - 0.5), 1.0))) is float
 
 
 class TestFiniteDiff:

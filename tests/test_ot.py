@@ -21,8 +21,9 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 import gcgs
-from gcgs.numerics import make_rng
-from gcgs.solver import OracleError, SolverConfig, solve, surrogate_gap
+from gcgs.numerics import golden_section_min, make_rng
+from gcgs.solver import (OracleError, SolverConfig, solve, step_exact,
+                         surrogate_gap)
 from gcgs.transport import (
     ConvergenceError,
     TransportProblem,
@@ -43,6 +44,7 @@ from gcgs.transport import (
     uniform_histogram,
 )
 from test_numerics import finite_diff_grad
+from test_solver import assert_chord_steps_agree
 
 
 def entropic_plan_2x2(cost, a, b, lam):
@@ -866,14 +868,14 @@ class TestSplitObjectives:
             lambda_ent=lam,
         )
 
-    def _cluster_problem(self, seed=15, n=12):
+    def _cluster_problem(self, seed=15, n=12, lambda_lap=1.0):
         Xs, Xt, mu_s, mu_t = make_cluster_data(n, n, seed=seed)
         return TransportProblem(
             cost=squared_distances(Xs, Xt),
             mu_s=mu_s,
             mu_t=mu_t,
             lambda_ent=0.05,
-            lambda_lap=1.0,
+            lambda_lap=lambda_lap,
             lap_s=knn_laplacian(Xs, 3),
             lap_t=knn_laplacian(Xt, 3),
             Xs=Xs,
@@ -995,6 +997,81 @@ class TestSplitObjectives:
               SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=10))
         assert calls["lmo"] >= 10
         assert calls["rooted"] <= 2 * calls["lmo"]
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_chord_steps_agree_with_golden_section(self, warm):
+        # a strong Laplacian term keeps the gap large over 10 iterates, so
+        # every step is resolved by golden section's value comparisons
+        problem = self._cluster_problem(n=30, lambda_lap=1e3)
+        x0 = np.outer(problem.mu_s, problem.mu_t)
+        split = ot_split(problem, sinkhorn_tol=1e-5, sinkhorn_max_iter=50000,
+                         warm_start=warm)
+        assert_chord_steps_agree(split, x0, max_iter=10)
+        assert_chord_steps_agree(ot_cg_split(problem, warm_start=warm), x0,
+                                 max_iter=10)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_property_chord_step(self, data):
+        """Steps between a Sinkhorn plan and a vertex, zero-mass marginals."""
+        r, c = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+        weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+        def hist(n):
+            w = data.draw(hnp.arrays(np.float64, n, elements=weight)
+                          .filter(lambda w: w.sum() > 0))
+            return w / w.sum()
+
+        def matrix(shape, lo, hi):
+            return data.draw(hnp.arrays(np.float64, shape,
+                                        elements=st.floats(lo, hi)))
+
+        a, b = hist(r), hist(c)
+        lambda_ent = data.draw(st.floats(1e-2, 1.0))
+        graph = {}
+        if min(r, c) >= 2 and data.draw(st.booleans()):
+            Xs, Xt = matrix((r, 2), -1.0, 1.0), matrix((c, 2), -1.0, 1.0)
+            graph = dict(lambda_lap=data.draw(st.floats(0.1, 100.0)),
+                         lap_s=knn_laplacian(Xs, 1), lap_t=knn_laplacian(Xt, 1),
+                         Xs=Xs, Xt=Xt)
+        problem = TransportProblem(matrix((r, c), 0.0, 1.0), a, b,
+                                   lambda_ent=lambda_ent, **graph)
+        try:
+            plan = sinkhorn(matrix((r, c), 0.0, 1.0), a, b,
+                            data.draw(st.floats(0.05, 1.0)), tol=1e-9)
+        except ConvergenceError:
+            assume(False)
+        vertex = transport_lmo(matrix((r, c), 0.0, 1.0), a, b)
+        x, s = (plan, vertex) if data.draw(st.booleans()) else (vertex, plan)
+        d = s - x
+        assume(np.any(d))
+
+        split = ot_split(problem)
+        alpha = step_exact(split, x, d)
+        assert np.isfinite(alpha) and 0.0 <= alpha <= 1.0
+
+        def slope(t):
+            y = x + t * d
+            moving = d != 0.0
+            with np.errstate(divide="ignore"):
+                entropy = float(d[moving] @ (1.0 + np.log(y[moving])))
+            return (float(np.vdot(split.f_grad(y), d))
+                    + problem.lambda_ent * entropy)
+
+        tol = 1e-9 * (1.0 + abs(float(np.vdot(split.f_grad(x), d))))
+        if alpha == 0.0:
+            assert slope(0.0) >= -tol
+        elif alpha == 1.0:
+            assert slope(1.0) <= tol
+        else:
+            # the slope changes sign within 1e-12 of alpha; it need not be
+            # small at alpha itself, since a root next to an entry that
+            # reaches zero can sit closer to the end than floats resolve
+            assert slope(max(alpha - 1e-12, 0.0)) <= tol
+            assert slope(min(alpha + 1e-12, 1.0)) >= -tol
+        f_golden = split.value(
+            x + golden_section_min(lambda t: split.value(x + t * d)) * d)
+        assert split.value(x + alpha * d) <= f_golden + 1e-12 * max(1.0, abs(f_golden))
 
     def test_cg_split_gradient_finite_at_vertices(self):
         # LP vertices carry exact zeros; the floored entropy gradient

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import gcgs.solver
 from gcgs.numerics import EvaluationError, make_rng
 from gcgs.solver import (OracleError, SolverConfig, SplitObjective, StallError,
                          cg_adapter, check_fixed_point, estimate_curvature,
@@ -32,6 +33,41 @@ def ridge_on_ball(lam=1.0, tau=1.0, c=None):
         g_grad=lambda x: 2.0 * lam * x,
         partial_oracle=lambda x, g: project_l1(-g / (2 * lam), tau),
     )
+
+
+def assert_chord_steps_agree(split, x0, max_iter):
+    """``split.exact_step`` matches golden section along a golden-section run.
+
+    Runs ``max_iter`` exact steps of ``split`` with its ``exact_step``
+    removed, so every step is a golden-section search, and checks the
+    split's own step at each of those iterates: within 1e-6 of the
+    golden-section step, and no worse in objective beyond 1e-12
+    relative. Later iterates of two runs drift apart (an inexact oracle
+    amplifies ~1e-8 step differences), so runs are compared at identical
+    iterates instead of trace by trace. Golden section compares values,
+    so it resolves a step only to about sqrt(eps |F| / phi''): near an
+    optimum, where the chord is flat, that exceeds 1e-6, so ``max_iter``
+    must end the run before then.
+    """
+    golden = replace(split, exact_step=None)
+    iterates = []
+    oracle = golden.partial_oracle
+
+    def spied(x, grad_f):
+        s = oracle(x, grad_f)
+        iterates.append((x.copy(), s - x))
+        return s
+
+    golden.partial_oracle = spied
+    result = solve(golden, x0, SolverConfig(step_rule="exact", gap_tol=0.0,
+                                            max_iter=max_iter))
+    steps = [r.alpha for r in result.trace[:-1]]
+    assert len(steps) == max_iter
+    for (x, d), alpha_golden in zip(iterates, steps):
+        alpha = split.exact_step(x, d)
+        assert abs(alpha - alpha_golden) <= 1e-6
+        f_golden = split.value(x + alpha_golden * d)
+        assert split.value(x + alpha * d) <= f_golden + 1e-12 * max(1.0, abs(f_golden))
 
 
 class TestSurrogateGap:
@@ -83,6 +119,16 @@ class TestSteps:
         obj.exact_step = lambda x, d: calls.append(1) or 0.25
         assert step_exact(obj, np.array([0.8]), np.array([-1.8])) == 0.25
         assert calls
+
+    def test_exact_rejects_nonfinite_closed_form(self):
+        # np.clip(nan, 0, 1) is NaN: without the check the iterate turns
+        # all-NaN and the failure surfaces one iteration later elsewhere
+        obj = interval_quadratic()
+        obj.exact_step = lambda x, d: np.nan
+        with pytest.raises(EvaluationError, match="exact step"):
+            step_exact(obj, np.array([0.8]), np.array([-1.8]))
+        with pytest.raises(EvaluationError, match="exact step"):
+            solve(obj, np.array([0.8]), SolverConfig(step_rule="exact", max_iter=3))
 
     def test_armijo_accepts_full_step_on_linear_descent(self):
         obj = ridge_on_ball(lam=1e-8)  # essentially linear objective
@@ -248,6 +294,40 @@ class TestCgAdapter:
         assert cg.g_eval(x) == 0.0
         assert np.array_equal(cg.g_grad(x), np.zeros(2))
         assert cg.f_eval(x) == pytest.approx(obj.value(x))
+
+
+class TestShippedSplits:
+    def test_exact_steps_never_reach_golden_section(self, monkeypatch):
+        # every split the library builds supplies its own exact step; the
+        # golden-section search (about 53 evaluations per step) is only
+        # for other objectives
+        from gcgs import elasticnet as en
+        from gcgs import transport as tr
+
+        def forbidden(phi):
+            raise AssertionError("golden-section search reached")
+
+        monkeypatch.setattr(gcgs.solver, "golden_section_min", forbidden)
+        Xs, Xt, mu_s, mu_t = tr.make_cluster_data(12, 12, seed=0)
+        transport = tr.TransportProblem(
+            tr.squared_distances(Xs, Xt), mu_s, mu_t, lambda_ent=0.05,
+            lambda_lap=1e3, lap_s=tr.knn_laplacian(Xs, 3),
+            lap_t=tr.knn_laplacian(Xt, 3), Xs=Xs, Xt=Xt)
+        runs = [(split, np.outer(mu_s, mu_t)) for split in (
+            tr.ot_split(transport, sinkhorn_tol=1e-5, sinkhorn_max_iter=50000),
+            tr.ot_cg_split(transport))]
+        rng = make_rng(5)
+        Z = rng.standard_normal((30, 6))
+        y = rng.integers(0, 2, size=30) * 2.0 - 1.0
+        for loss in en.LOSSES:
+            problem = en.ElasticNetProblem(Z=Z, y=y, loss=loss, tau=1.5)
+            runs += [(en.en_split(problem), np.zeros(6)),
+                     (en.en_cg_split(problem), np.zeros(6))]
+        for split, x0 in runs:
+            result = solve(split, x0, SolverConfig(step_rule="exact",
+                                                   gap_tol=0.0, max_iter=3))
+            assert len(result.trace) == 4
+            assert all(0.0 < r.alpha for r in result.trace[:-1])
 
 
 class TestCurvature:
