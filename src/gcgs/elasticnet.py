@@ -141,7 +141,7 @@ def fixed_point_residual(problem: ElasticNetProblem, x: np.ndarray,
     ``grad_F`` is grad F(x), e.g. ``objective_grad(problem, x)``.
     """
     step = project_l1(x - grad_F, problem.tau)
-    return float(np.max(np.abs(step - x)))
+    return float(np.abs(step - x).max())
 
 
 def en_split(problem: ElasticNetProblem) -> SplitObjective:
@@ -164,7 +164,7 @@ def en_split(problem: ElasticNetProblem) -> SplitObjective:
                 return 0.0
             r = problem.Z @ x - problem.y
             num = -(float(Zd @ r) + 2.0 * lam * float(x @ d))
-            return float(np.clip(num / denom, 0.0, 1.0))
+            return min(max(num / denom, 0.0), 1.0)
     else:
         def exact_step(x, d):
             t = problem.y * (problem.Z @ x)

@@ -31,7 +31,7 @@ def as_vector(data) -> np.ndarray:
     v = np.asarray(data, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D array, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     return v
 
@@ -41,7 +41,7 @@ def as_matrix(data) -> np.ndarray:
     m = np.asarray(data, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 

@@ -21,6 +21,7 @@ the direction policies :class:`ProjectedGradient` and
 :class:`SpectralProjectedGradient`.
 """
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,9 +34,8 @@ from .numerics import EvaluationError, golden_section_min
 # Directions shorter than this are treated as numerical fixed points.
 _TINY_STEP = 1e-14
 
-# Armijo sufficient-decrease constant and backtracking factor.
+# Armijo sufficient-decrease constant.
 _ARMIJO_SIGMA = 1e-4
-_ARMIJO_BETA = 0.5
 
 # Step lengths at which estimate_curvature probes each sampled chord.
 _CURVATURE_ALPHAS = (0.1, 0.25, 0.5, 0.75, 1.0)
@@ -90,7 +90,11 @@ class SolverConfig:
     rule when the objective defines one (e.g. the projected fixed-point
     residual of the constrained elastic-net solvers). With
     ``record_trace`` off the trace keeps only the final record. The
-    Armijo rule uses sufficient decrease 1e-4 and backtracks by 0.5.
+    Armijo rule takes the largest step in {1, 0.5, 0.25, ...} with
+    sufficient decrease 1e-4; :func:`solve` warm-starts each search at
+    the last accepted step (see :func:`step_armijo`), which for convex
+    ``F`` gives the same steps as scanning down from 1 every time,
+    except where rounding of ``F`` decides the test.
     """
 
     step_rule: str = "exact"
@@ -153,18 +157,19 @@ def step_exact(obj: SplitObjective, x: np.ndarray, dx: np.ndarray) -> float:
     direction; a non-finite ``exact_step`` result raises
     :class:`~gcgs.numerics.EvaluationError`.
     """
-    if not np.any(dx):
+    if not dx.any():
         return 0.0
     if obj.exact_step is not None:
         alpha = obj.exact_step(x, dx)
-        if not np.isfinite(alpha):
+        if not math.isfinite(alpha):
             raise EvaluationError(f"exact step is not finite: {alpha!r}")
-        return float(np.clip(alpha, 0.0, 1.0))
+        return float(min(max(alpha, 0.0), 1.0))
     return golden_section_min(lambda a: obj.value(x + a * dx))
 
 
 def step_armijo(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
-                grad_F_x: np.ndarray, f_ref: Optional[float] = None) -> float:
+                grad_F_x: np.ndarray, f_ref: Optional[float] = None,
+                start: float = 1.0) -> float:
     """Largest step in {1, 0.5, 0.25, ...} with sufficient decrease.
 
     Accepts ``a`` when ``F(x + a dx) <= f_ref + 1e-4 * a * <grad_F, dx>``,
@@ -172,15 +177,39 @@ def step_armijo(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
     a nonmonotone reference value, passes it); raises :class:`StallError`
     below 2**-50, which signals a non-descent direction or numerical
     breakdown.
+
+    ``start``, a step of the same grid (typically the previous accepted
+    step), warm-starts the search. The first trial is at ``start``; when
+    it is accepted the step doubles while the doubled step is accepted,
+    up to 1. When it is rejected the search scans down from 1, as it
+    does for ``start=1``, skipping the trial already made. For convex
+    ``F`` the accepted steps form an interval ``[0, a_max]``, also under
+    a nonmonotone ``f_ref >= F(x)``, so every ``start`` returns the step
+    of the scan from 1. Where rounding makes acceptance non-monotone (an
+    ``F`` flat to its last bits) the two may differ; restarting from 1
+    on rejection, rather than halving below ``start``, keeps a rejected
+    warm start from locking the search onto tiny steps.
     """
+    mantissa, exponent = math.frexp(start)
+    if mantissa != 0.5 or not -49 <= exponent <= 1:
+        raise ValueError(f"start must be 2**-j with 0 <= j <= 50, got {start!r}")
     if f_ref is None:
         f_ref = obj.value(x)
     slope = float(np.vdot(grad_F_x, dx))
+
+    def accepted(a):
+        return obj.value(x + a * dx) <= f_ref + _ARMIJO_SIGMA * a * slope
+
+    if accepted(start):
+        alpha = start
+        while alpha < 1.0 and accepted(2.0 * alpha):
+            alpha *= 2.0
+        return alpha
     alpha = 1.0
     while alpha >= 2.0 ** -50:
-        if obj.value(x + alpha * dx) <= f_ref + _ARMIJO_SIGMA * alpha * slope:
+        if alpha != start and accepted(alpha):
             return alpha
-        alpha *= _ARMIJO_BETA
+        alpha *= 0.5
     raise StallError(f"no Armijo step above 2^-50 (slope {slope:.3e})")
 
 
@@ -198,8 +227,11 @@ class ProjectedGradient:
     projection onto the feasible set, under the monotone Armijo rule.
     The fixed-point residual ``||d||_inf`` is the convergence measure and
     shares its projection with the direction; the surrogate gap is
-    recorded but does not stop the run.
+    recorded but does not stop the run. ``warm_start`` says whether the
+    Armijo search starts from the last accepted step.
     """
+
+    warm_start = True
 
     def __init__(self, project: Callable[[np.ndarray], np.ndarray]):
         self.project = project
@@ -208,7 +240,7 @@ class ProjectedGradient:
     def residual(self, x: np.ndarray, grad_F: np.ndarray) -> float:
         """||P(x - grad F(x)) - x||_inf; keeps the projection for the step."""
         self._d = self.project(x - grad_F) - x
-        return float(np.max(np.abs(self._d)))
+        return float(np.abs(self._d).max())
 
     def direction(self, x: np.ndarray, grad_F: np.ndarray) -> np.ndarray:
         """The direction of the iterate whose residual was last taken."""
@@ -226,8 +258,11 @@ class SpectralProjectedGradient(ProjectedGradient):
     Barzilai-Borwein step ``<s, s> / <s, y>`` of the last move (1 at the
     start, 1e10 when ``<s, y> <= 0``), clipped to [1e-10, 1e10]. The
     Armijo rule is nonmonotone: its reference value is the largest
-    objective over the last 10 iterates.
+    objective over the last 10 iterates. The spectral step rescales
+    every direction, so the search starts from the full step.
     """
+
+    warm_start = False
 
     def __init__(self, project: Callable[[np.ndarray], np.ndarray]):
         super().__init__(project)
@@ -241,7 +276,7 @@ class SpectralProjectedGradient(ProjectedGradient):
             yk = grad_F - self._last[1]
             sy = float(sk @ yk)
             if sy > 0.0:
-                self.alpha_bb = float(np.clip(float(sk @ sk) / sy, 1e-10, 1e10))
+                self.alpha_bb = min(max(float(sk @ sk) / sy, 1e-10), 1e10)
             else:
                 self.alpha_bb = 1e10
         self._last = (x, grad_F)
@@ -281,6 +316,8 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
     step_rule = cfg.step_rule if policy is None else "armijo"
     residual_fn = obj.residual if policy is None else policy.residual
     use_residual = cfg.residual_tol is not None and residual_fn is not None
+    warm_start = policy is None or policy.warm_start
+    alpha = 1.0
 
     for k in range(cfg.max_iter + 1):
         grad_f = obj.f_grad(x)
@@ -290,7 +327,7 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
             raise OracleError(k, err) from err
         gap = surrogate_gap(x, s, grad_f, obj)
         objective = obj.value(x)
-        if not np.isfinite(objective):
+        if not math.isfinite(objective):
             raise EvaluationError(f"non-finite objective at iteration {k}")
         grad_F = grad_f + obj.g_grad(x)
         residual = residual_fn(x, grad_F) if residual_fn is not None else None
@@ -317,7 +354,7 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
             break
 
         dx = s - x if policy is None else policy.direction(x, grad_F)
-        if np.max(np.abs(dx)) <= _TINY_STEP:
+        if np.abs(dx).max() <= _TINY_STEP:
             termination = "stalled"
             break
 
@@ -325,7 +362,8 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
             alpha = step_exact(obj, x, dx)
         elif step_rule == "armijo":
             f_ref = objective if policy is None else policy.reference(objective)
-            alpha = step_armijo(obj, x, dx, grad_F, f_ref=f_ref)
+            alpha = step_armijo(obj, x, dx, grad_F, f_ref=f_ref,
+                                start=alpha if warm_start else 1.0)
         else:
             alpha = step_fixed(k)
         record.alpha = float(alpha)

@@ -34,7 +34,9 @@ from gcgs.elasticnet import (
     spg_solve,
 )
 from test_numerics import finite_diff_grad
-from test_solver import assert_chord_steps_agree
+from test_solver import (armijo_evaluations, assert_chord_steps_agree,
+                         assert_cold_armijo_gives_the_same_run,
+                         run_with_cold_armijo)
 
 
 def save_csv_dataset(path, dataset, label_column="label"):
@@ -442,9 +444,10 @@ class TestBaselines:
         # which the last iterate never takes
         assert len(calls["loss_grad"]) == n
         assert len(calls["project_l1"]) == projections * n - (projections - 2)
-        # one objective per iterate plus the Armijo trials (steps 0.5^j)
-        trials = sum(round(-np.log2(rec.alpha)) + 1
-                     for rec in result.trace[:-1])
+        # one objective per iterate plus the Armijo trials; pg warm-starts
+        # each search at the last step, spg starts every search at 1
+        alphas = [rec.alpha for rec in result.trace[:-1]]
+        trials = armijo_evaluations(alphas, warm=run is pg_solve)
         assert len(calls["loss_eval"]) == n + trials
         # the recorded gap is the splitting certificate at each iterate
         split = en_split(problem)
@@ -477,6 +480,71 @@ class TestBaselines:
         for rec, (_, x) in zip(result.trace, calls["loss_grad"]):
             assert rec.extra_residual == fixed_point_residual(
                 problem, x, objective_grad(problem, x))
+
+    @staticmethod
+    def _armijo_run(problem, solver, tol):
+        cfg = SolverConfig(step_rule="armijo", gap_tol=0.0, residual_tol=tol,
+                           max_iter=3000)
+        x0 = np.zeros(problem.Z.shape[1])
+        if solver in ("pg", "spg"):
+            return lambda: (pg_solve if solver == "pg" else spg_solve)(problem, x0, cfg)
+        split = en_split if solver == "cgs" else en_cg_split
+        return lambda: solve(split(problem), x0, cfg)
+
+    @pytest.mark.parametrize("seed,tau,loss,tol,solver", [
+        # pg reaches the rounding floor of F here; cgs is the next test
+        *[(22, 0.8, "squared", 1e-7, s) for s in ("pg", "spg", "cg")],
+        *[(28, 0.8, "squared", 1e-6, s) for s in ("pg", "spg", "cgs", "cg")],
+        *[(16, 1.5, "logistic", 1e-6, s) for s in ("pg", "spg", "cgs", "cg")],
+    ])
+    def test_armijo_warm_start_keeps_the_cold_trace(self, monkeypatch, seed,
+                                                     tau, loss, tol, solver):
+        problem = _small_problem(seed=seed, tau=tau, loss=loss)
+        result = assert_cold_armijo_gives_the_same_run(
+            monkeypatch, self._armijo_run(problem, solver, tol))
+        if solver != "spg":  # spg starts every search at 1
+            assert min(rec.alpha for rec in result.trace[:-1]) < 1.0
+
+    def test_armijo_warm_start_parts_from_the_cold_trace_only_at_the_rounding_floor(
+            self, monkeypatch):
+        # Armijo cgs reaches iterates where F is flat to its last bits.
+        # There rounding decides the Armijo test, so a search from a tiny
+        # warm start can stop short of the step of the scan from 1 (at
+        # iterate 460 with numpy 2.4 and OpenBLAS: 2^-32 against 2^-3)
+        # and the runs part; up to there they agree bitwise, and they
+        # stop at the same objective to rounding
+        problem = _small_problem(seed=22, tau=0.8)
+        run = self._armijo_run(problem, "cgs", 1e-7)
+        warm, cold = run(), run_with_cold_armijo(monkeypatch, run)
+        rows = [[(r.objective, r.surrogate_gap, r.alpha, r.extra_residual)
+                 for r in result.trace] for result in (warm, cold)]
+        k = next((i for i, (a, b) in enumerate(zip(*rows)) if a != b), None)
+        if k is not None:
+            assert rows[0][k][:2] == rows[1][k][:2] and rows[0][k][3] == rows[1][k][3]
+            assert warm.trace[k].alpha < cold.trace[k].alpha
+            f = warm.trace[k].objective
+            for result in (warm, cold):
+                assert abs(result.trace[k + 1].objective - f) <= 4 * np.spacing(f)
+        assert warm.termination == cold.termination == "fp_residual"
+        f_warm, f_cold = (objective(problem, r.x_final) for r in (warm, cold))
+        assert abs(f_warm - f_cold) <= 1e-14 * f_cold
+
+    def test_armijo_work_on_the_cli_toy_problem(self, monkeypatch):
+        # the CLI's default elastic net: squared loss, lambda 1, tau 2;
+        # starting each search at 1 costs pg 10.78 and Armijo cg 14.95
+        # evaluations per iterate here
+        dataset = make_toy_classification(200, 100, 10, seed=0)
+        problem = problem_from_dataset(dataset, "squared", 1.0, 2.0)
+        cfg = SolverConfig(step_rule="armijo", gap_tol=0.0, residual_tol=1e-5,
+                           max_iter=10000)
+        for run, bound in [(lambda: pg_solve(problem, np.zeros(100), cfg), 5),
+                           (lambda: solve(en_cg_split(problem), np.zeros(100), cfg), 10)]:
+            evals = []
+            with monkeypatch.context() as patch:
+                patch.setattr(elasticnet, "loss_eval",
+                              lambda *a, _fn=loss_eval: evals.append(1) or _fn(*a))
+                result = run()
+            assert len(evals) <= bound * len(result.trace)
 
     def test_traces_record_residuals_and_clamped_gaps(self):
         problem = _small_problem(seed=28, tau=0.8)

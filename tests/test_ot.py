@@ -44,7 +44,8 @@ from gcgs.transport import (
     uniform_histogram,
 )
 from test_numerics import finite_diff_grad
-from test_solver import assert_chord_steps_agree
+from test_solver import (assert_chord_steps_agree,
+                         assert_cold_armijo_gives_the_same_run)
 
 
 def entropic_plan_2x2(cost, a, b, lam):
@@ -946,6 +947,18 @@ class TestSplitObjectives:
         assert np.all(np.diff(objs) <= 1e-12)
         assert objs[-1] < objs[0]
         assert np.all(np.isfinite(result.x_final))
+
+    @pytest.mark.parametrize("make_split", [
+        lambda p: ot_split(p, sinkhorn_tol=1e-6, warm_start=True),
+        lambda p: ot_cg_split(p, warm_start=True),
+    ], ids=["cgs", "cg"])
+    def test_armijo_warm_start_keeps_the_cold_trace(self, monkeypatch, make_split):
+        problem = self._cluster_problem(n=20, lambda_lap=10.0)
+        x0 = np.outer(problem.mu_s, problem.mu_t)
+        cfg = SolverConfig(step_rule="armijo", gap_tol=1e-8, max_iter=30)
+        result = assert_cold_armijo_gives_the_same_run(
+            monkeypatch, lambda: solve(make_split(problem), x0, cfg))
+        assert min(rec.alpha for rec in result.trace[:-1]) < 1.0
 
     def test_negative_raw_gap_has_its_own_termination(self):
         # the inexact Sinkhorn oracle returns a raw gap of about -1e-11 at

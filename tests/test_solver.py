@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.special import expit
 
 import gcgs.solver
 from gcgs.numerics import EvaluationError, make_rng
@@ -33,6 +35,52 @@ def ridge_on_ball(lam=1.0, tau=1.0, c=None):
         g_grad=lambda x: 2.0 * lam * x,
         partial_oracle=lambda x, g: project_l1(-g / (2 * lam), tau),
     )
+
+
+def armijo_evaluations(alphas, warm=True):
+    """Objective evaluations of the Armijo searches that ended at ``alphas``.
+
+    Each search starts from the previous accepted step (from 1 for the
+    first one, and for all of them when ``warm`` is off). From
+    ``start = 2^-m``, a search ending at ``2^-j`` with ``j <= m`` tries
+    ``start`` and each doubling up to ``2^-j``, then the rejected
+    ``2^-(j-1)`` unless ``j = 0``; with ``j > m``, ``start`` is rejected
+    and the scan from 1 down to ``2^-j`` skips it: ``j + 1`` trials.
+    """
+    total, m = 0, 0
+    for alpha in alphas:
+        j = round(-np.log2(alpha))
+        total += 1 + (m - j) + (j > 0) if j <= m else j + 1
+        m = j if warm else 0
+    return total
+
+
+def trace_bits(result):
+    """Objective, gap, step and residual of every record, ``x_final`` and
+    the termination, as bytes: equal only for bitwise-identical runs."""
+    rows = [(r.objective, r.surrogate_gap, r.alpha, r.extra_residual)
+            for r in result.trace]
+    return (np.array(rows, dtype=float).tobytes(), result.x_final.tobytes(),
+            result.termination)
+
+
+def run_with_cold_armijo(monkeypatch, run):
+    """``run()`` with every Armijo search of the solver started at 1."""
+    step_armijo_warm = gcgs.solver.step_armijo
+    with monkeypatch.context() as patch:
+        patch.setattr(gcgs.solver, "step_armijo",
+                      lambda *args, **kw: step_armijo_warm(*args, **{**kw, "start": 1.0}))
+        return run()
+
+
+def assert_cold_armijo_gives_the_same_run(monkeypatch, run):
+    """``run()`` is bitwise unchanged when every Armijo search starts at 1.
+
+    Returns the default (warm-started) result.
+    """
+    warm = run()
+    assert trace_bits(warm) == trace_bits(run_with_cold_armijo(monkeypatch, run))
+    return warm
 
 
 def assert_chord_steps_agree(split, x0, max_iter):
@@ -121,7 +169,7 @@ class TestSteps:
         assert calls
 
     def test_exact_rejects_nonfinite_closed_form(self):
-        # np.clip(nan, 0, 1) is NaN: without the check the iterate turns
+        # min(max(nan, 0), 1) is NaN: without the check the iterate turns
         # all-NaN and the failure surfaces one iteration later elsewhere
         obj = interval_quadratic()
         obj.exact_step = lambda x, d: np.nan
@@ -148,6 +196,109 @@ class TestSteps:
         obj = interval_quadratic()
         with pytest.raises(StallError):
             step_armijo(obj, np.array([0.5]), np.array([1.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("start,trials", [
+        (1.0, [1.0, 0.5, 0.25]),
+        (0.5, [0.5, 1.0, 0.25]),  # rejected: the scan from 1 skips it
+        (0.25, [0.25, 0.5]),
+        (0.125, [0.125, 0.25, 0.5]),
+        (2.0 ** -10, [2.0 ** -j for j in range(10, 0, -1)]),
+    ])
+    def test_armijo_warm_start_brackets_the_cold_step(self, start, trials):
+        # the setting of test_armijo_backtracks: steps up to 0.25 accepted
+        obj = interval_quadratic()
+        f_eval, tried = obj.f_eval, []
+        obj.f_eval = lambda x: tried.append((x[0] - 1.0) / -4.0) or f_eval(x)
+        a = step_armijo(obj, np.array([1.0]), np.array([-4.0]),
+                        np.array([2.0]), f_ref=1.0, start=start)
+        assert a == 0.25
+        assert tried == trials
+        assert armijo_evaluations([start, a]) - armijo_evaluations([start]) == len(trials)
+
+    @pytest.mark.parametrize("start", [0.3, 2.0, 2.0 ** -51, 0.0, -0.5, np.nan])
+    def test_armijo_start_must_be_on_the_grid(self, start):
+        obj = interval_quadratic()
+        with pytest.raises(ValueError, match="start"):
+            step_armijo(obj, np.array([1.0]), np.array([-4.0]),
+                        np.array([2.0]), start=start)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_armijo_start_never_changes_the_step_on_convex_chords(self, data):
+        # F convex in 1-D: a quadratic, or a sum of logistic terms plus a
+        # ridge, so every chord is convex and the accepted steps form an
+        # interval [0, a_max]. Every warm start returns the cold step
+        # wherever rounding cannot decide a trial: where the reference
+        # exceeds F(x), or the start's first-order decrease is, by far
+        # more than F's rounding error (1e-10 relative)
+        num = dict(allow_nan=False, allow_infinity=False)
+        if data.draw(st.booleans(), label="logistic"):
+            size = data.draw(st.integers(1, 6), label="terms")
+            terms = st.lists(st.floats(-5.0, 5.0, **num), min_size=size, max_size=size)
+            t = np.array(data.draw(terms, label="t"))
+            u = np.array(data.draw(terms, label="u"))
+            ridge = data.draw(st.floats(0.0, 1.0, **num), label="ridge")
+            f_eval = lambda x: float(np.logaddexp(0.0, -(t + u * x[0])).sum()
+                                     + ridge * x[0] ** 2)
+            f_grad = lambda x: np.array([float(-(u @ expit(-(t + u * x[0])))
+                                               + 2.0 * ridge * x[0])])
+        else:
+            c = data.draw(st.floats(1e-3, 1e3, **num), label="curvature")
+            m = data.draw(st.floats(-10.0, 10.0, **num), label="minimizer")
+            f_eval = lambda x: 0.5 * c * (x[0] - m) ** 2
+            f_grad = lambda x: c * (x - m)
+        obj = SplitObjective(f_eval=f_eval, f_grad=f_grad,
+                             g_eval=lambda x: 0.0, g_grad=np.zeros_like,
+                             partial_oracle=lambda x, g: x)
+        x = np.array([data.draw(st.floats(-10.0, 10.0, **num), label="x")])
+        g = obj.grad(x)
+        assume(abs(g[0]) >= 1e-6)
+        size = 10.0 ** data.draw(st.floats(-3.0, 3.0, **num), label="log10 |dx|")
+        dx = -np.sign(g) * size
+        fx = obj.value(x)
+        scale = max(1.0, abs(fx))
+        excess = data.draw(st.one_of(st.just(0.0), st.floats(1e-10, 1.0, **num)),
+                           label="excess") * scale
+        f_ref = fx + excess
+
+        def search(start, direction, reference):
+            try:
+                return step_armijo(obj, x, direction, g, f_ref=reference, start=start)
+            except StallError:
+                return "stall"
+
+        cold = search(1.0, dx, f_ref)
+        for j in range(51):
+            if excess > 0.0 or 2.0 ** -j * abs(g[0]) * size >= 1e-10 * scale:
+                assert search(2.0 ** -j, dx, f_ref) == cold
+        # an ascent steep enough to show at the smallest step stalls
+        # from every start
+        ascent = np.sign(g) * 2.0 ** 60 * scale / abs(g)
+        for j in range(51):
+            assert search(2.0 ** -j, ascent, fx) == "stall"
+
+    def test_armijo_warm_start_below_the_rounding_floor_can_stop_short(self):
+        # the known limitation: where the chord's decrease is far below
+        # F's rounding error, acceptance is decided by rounding and is
+        # not monotone, so a search from a tiny start can stop at a
+        # rejected doubling that the scan from 1 never reaches
+        t, u = np.zeros(3), np.array([0.0, 0.1, 0.0])
+        obj = SplitObjective(
+            f_eval=lambda x: float(np.logaddexp(0.0, -(t + u * x[0])).sum()
+                                   + 0.5 * x[0] ** 2),
+            f_grad=lambda x: np.array([float(-(u @ expit(-(t + u * x[0])))
+                                             + x[0])]),
+            g_eval=lambda x: 0.0, g_grad=np.zeros_like,
+            partial_oracle=lambda x, g: x)
+        x, dx = np.array([0.651497783107514]), np.array([-0.1])
+        g = obj.grad(x)
+        assert step_armijo(obj, x, dx, g) == 1.0
+        assert step_armijo(obj, x, dx, g, start=2.0 ** -50) == 2.0 ** -50
+        assert obj.value(x + 2.0 ** -49 * dx) > obj.value(x)  # rounding
+        # a reference above F(x) by more than its rounding accepts the
+        # whole bracket, and the warm start is exact again
+        f_ref = obj.value(x) + 1e-10
+        assert step_armijo(obj, x, dx, g, f_ref=f_ref, start=2.0 ** -50) == 1.0
 
 
 class TestSolve:
@@ -221,10 +372,10 @@ class TestSolve:
         obj.f_eval = lambda x: evals.append(x) or f_eval(x)
         res = solve(obj, np.array([0.9]),
                     SolverConfig(step_rule="armijo", gap_tol=1e-6, max_iter=50))
-        # one evaluation per iterate plus one per trial step 0.5^j
-        trials = sum(round(-np.log2(rec.alpha)) + 1 for rec in res.trace[:-1])
-        assert len(res.trace) > 2
-        assert len(evals) == len(res.trace) + trials
+        # one evaluation per iterate plus the trials of each search
+        alphas = [rec.alpha for rec in res.trace[:-1]]
+        assert len(res.trace) > 2 and min(alphas) < 1.0
+        assert len(evals) == len(res.trace) + armijo_evaluations(alphas)
 
     def test_oracle_error_carries_iteration(self):
         obj = interval_quadratic()
