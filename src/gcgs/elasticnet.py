@@ -14,6 +14,8 @@ All solvers stop on the fixed-point residual
 """
 
 import csv
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +24,22 @@ from scipy.special import expit
 from .numerics import as_matrix, as_vector, convex_min_unit, make_rng
 from .solver import (ProjectedGradient, SolveResult, SolverConfig,
                      SpectralProjectedGradient, SplitObjective, cg_adapter,
-                     solve)
+                     iterate_cache, solve)
 
 LOSSES = ("squared", "logistic", "squared_hinge")
+
+
+@functools.lru_cache(maxsize=16)
+def _ranks(n):
+    """1, 2, ..., n as a read-only float64 array: the projection's ranks."""
+    ranks = np.arange(1.0, n + 1.0)
+    ranks.flags.writeable = False
+    return ranks
+
+
+def _check_radius(tau):
+    if not 0.0 < tau < math.inf:  # also rejects NaN
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
 
 
 @dataclass
@@ -47,15 +62,14 @@ class ElasticNetProblem:
         if self.loss in ("logistic", "squared_hinge"):
             if not np.all(np.isin(self.y, (-1.0, 1.0))):
                 raise ValueError(f"{self.loss} loss needs labels in {{-1,+1}}")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.lam < math.inf:  # also rejects NaN
+            raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
+        _check_radius(self.tau)
 
 
-def loss_eval(problem: ElasticNetProblem, x: np.ndarray) -> float:
-    """Value of the data-fitting term at x."""
-    t = problem.Z @ x
+def loss_eval(problem: ElasticNetProblem, x: np.ndarray, Zx=None) -> float:
+    """Value of the data-fitting term at x; ``Zx`` is ``Z @ x`` if held."""
+    t = problem.Z @ x if Zx is None else Zx
     if problem.loss == "squared":
         r = t - problem.y
         return 0.5 * float(r @ r)
@@ -66,9 +80,9 @@ def loss_eval(problem: ElasticNetProblem, x: np.ndarray) -> float:
     return float(u @ u)
 
 
-def loss_grad(problem: ElasticNetProblem, x: np.ndarray) -> np.ndarray:
-    """Gradient of the data-fitting term at x."""
-    t = problem.Z @ x
+def loss_grad(problem: ElasticNetProblem, x: np.ndarray, Zx=None) -> np.ndarray:
+    """Gradient of the data-fitting term at x; ``Zx`` is ``Z @ x`` if held."""
+    t = problem.Z @ x if Zx is None else Zx
     if problem.loss == "squared":
         return problem.Z.T @ (t - problem.y)
     if problem.loss == "logistic":
@@ -88,21 +102,32 @@ def objective_grad(problem: ElasticNetProblem, x: np.ndarray) -> np.ndarray:
 def project_l1(v: np.ndarray, tau: float) -> np.ndarray:
     """Euclidean projection of v onto the L1 ball of radius tau.
 
-    Interior points are returned unchanged; otherwise the exact
-    soft-threshold is found by sorting the magnitudes, O(n log n).
+    Interior points are returned unchanged (as a copy); otherwise the
+    exact soft-threshold is found by sorting the magnitudes, O(n log n).
+    ``v`` must be 1-D and finite, ``tau`` finite and positive.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    v = as_vector(v)
-    mag = np.abs(v)
-    if mag.sum() <= tau:
+    _check_radius(tau)
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-D array, got shape {v.shape}")
+    mag = abs(v)
+    total = float(mag.sum())
+    if not math.isfinite(total) and not np.isfinite(v).all():
+        raise ValueError("vector contains non-finite entries")
+    if total <= tau:
         return v.copy()
-    u = np.sort(mag)[::-1]
-    cssv = np.cumsum(u) - tau
-    j = np.arange(1, u.size + 1)
-    rho = np.nonzero(u * j > cssv)[0][-1]
-    theta = cssv[rho] / (rho + 1.0)
-    return np.sign(v) * np.maximum(mag - theta, 0.0)
+    u = mag.copy()
+    u.sort()
+    u = u[::-1]
+    cssv = u.cumsum()
+    cssv -= tau
+    rho = int((u * _ranks(u.size) > cssv).nonzero()[0][-1])
+    theta = float(cssv[rho]) / (rho + 1.0)
+    out = mag
+    out -= theta
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(v)
+    return out
 
 
 def en_oracle(problem: ElasticNetProblem, x: np.ndarray,
@@ -120,17 +145,22 @@ def l1_lmo(grad_F: np.ndarray, tau: float) -> np.ndarray:
 
     Puts mass -tau * sign(grad) on the largest-magnitude gradient
     coordinate, lowest index on ties. A zero gradient returns +tau*e_0
-    by convention (any vertex is optimal there).
+    by convention (any vertex is optimal there). ``grad_F`` must be 1-D
+    and finite, ``tau`` finite and positive.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    grad_F = as_vector(grad_F)
-    i = int(np.argmax(np.abs(grad_F)))
+    _check_radius(tau)
+    grad_F = np.asarray(grad_F, dtype=np.float64)
+    if grad_F.ndim != 1:
+        raise ValueError(f"expected a 1-D array, got shape {grad_F.shape}")
+    i = int(abs(grad_F).argmax())  # a NaN or inf entry wins the argmax
+    g = float(grad_F[i])
+    if not math.isfinite(g):
+        raise ValueError("vector contains non-finite entries")
     s = np.zeros_like(grad_F)
-    if grad_F[i] == 0.0:
+    if g == 0.0:
         s[0] = tau
     else:
-        s[i] = -tau * np.sign(grad_F[i])
+        s[i] = -tau if g > 0.0 else tau
     return s
 
 
@@ -141,7 +171,8 @@ def fixed_point_residual(problem: ElasticNetProblem, x: np.ndarray,
     ``grad_F`` is grad F(x), e.g. ``objective_grad(problem, x)``.
     """
     step = project_l1(x - grad_F, problem.tau)
-    return float(np.abs(step - x).max())
+    step -= x
+    return float(abs(step).max())
 
 
 def en_split(problem: ElasticNetProblem) -> SplitObjective:
@@ -153,8 +184,13 @@ def en_split(problem: ElasticNetProblem) -> SplitObjective:
     (:func:`~gcgs.numerics.convex_min_unit`): the margins
     ``t = y * (Z x)`` and their rates ``u = y * (Z d)`` are formed once
     per step, so each Newton step costs O(n) instead of O(nd).
+
+    ``f_eval``, ``f_grad`` and ``exact_step`` share one ``Z @ x`` per
+    iterate of a :func:`~gcgs.solver.solve` run
+    (:func:`~gcgs.solver.iterate_cache`).
     """
     lam = problem.lam
+    image = iterate_cache(lambda x: problem.Z @ x)
 
     if problem.loss == "squared":
         def exact_step(x, d):
@@ -162,12 +198,12 @@ def en_split(problem: ElasticNetProblem) -> SplitObjective:
             denom = float(Zd @ Zd) + 2.0 * lam * float(d @ d)
             if denom <= 0.0:
                 return 0.0
-            r = problem.Z @ x - problem.y
+            r = image(x) - problem.y
             num = -(float(Zd @ r) + 2.0 * lam * float(x @ d))
             return min(max(num / denom, 0.0), 1.0)
     else:
         def exact_step(x, d):
-            t = problem.y * (problem.Z @ x)
+            t = problem.y * image(x)
             u = problem.y * (problem.Z @ d)
             xd, dd = float(x @ d), float(d @ d)
             uu = u * u
@@ -185,8 +221,8 @@ def en_split(problem: ElasticNetProblem) -> SplitObjective:
             return convex_min_unit(dphi)
 
     return SplitObjective(
-        f_eval=lambda x: loss_eval(problem, x),
-        f_grad=lambda x: loss_grad(problem, x),
+        f_eval=lambda x: loss_eval(problem, x, image(x)),
+        f_grad=lambda x: loss_grad(problem, x, image(x)),
         g_eval=lambda x: lam * float(x @ x),
         g_grad=lambda x: 2.0 * lam * x,
         partial_oracle=lambda x, gf: en_oracle(problem, x, gf),

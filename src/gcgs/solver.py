@@ -81,6 +81,36 @@ class SplitObjective:
         return self.f_grad(x) + self.g_grad(x)
 
 
+def iterate_cache(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """``fn`` computed once per point of a :func:`solve` run.
+
+    :func:`solve` makes every iterate, and :func:`step_armijo` every
+    trial point, a read-only array that owns its data, which nothing can
+    change in place without first setting it writeable again. The cache
+    keeps the last two such arrays as ``(x, fn(x))`` tuples (an accepted
+    Armijo trial survives the rejected doubling tried after it) and
+    answers from them, matched by identity, only while they are still
+    read-only. Every other argument goes straight to ``fn``, so a caller
+    that changes an array between calls gets a fresh value; one that
+    makes a point writeable, changes it and freezes it again does not.
+    Callers share a cached value and must not change it.
+    """
+    held = ()
+
+    def cached(x):
+        nonlocal held
+        for point, value in held:
+            if point is x and not x.flags.writeable:
+                return value
+        value = fn(x)
+        if (isinstance(x, np.ndarray) and x.base is None
+                and not x.flags.writeable):
+            held = (held[-1], (x, value)) if held else ((x, value),)
+        return value
+
+    return cached
+
+
 @dataclass
 class SolverConfig:
     """Step rule, tolerances and iteration caps for :func:`solve`.
@@ -169,14 +199,16 @@ def step_exact(obj: SplitObjective, x: np.ndarray, dx: np.ndarray) -> float:
 
 def step_armijo(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
                 grad_F_x: np.ndarray, f_ref: Optional[float] = None,
-                start: float = 1.0) -> float:
+                start: float = 1.0) -> tuple:
     """Largest step in {1, 0.5, 0.25, ...} with sufficient decrease.
 
     Accepts ``a`` when ``F(x + a dx) <= f_ref + 1e-4 * a * <grad_F, dx>``,
     where ``f_ref`` defaults to ``F(x)`` (a caller that holds ``F(x)``, or
     a nonmonotone reference value, passes it); raises :class:`StallError`
     below 2**-50, which signals a non-descent direction or numerical
-    breakdown.
+    breakdown. Returns ``(a, x + a dx, F(x + a dx))``: the accepted
+    trial point, read-only, and the value the test computed there, so a
+    caller can step to it without evaluating ``F`` again.
 
     ``start``, a step of the same grid (typically the previous accepted
     step), warm-starts the search. The first trial is at ``start``; when
@@ -197,18 +229,29 @@ def step_armijo(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
         f_ref = obj.value(x)
     slope = float(np.vdot(grad_F_x, dx))
 
-    def accepted(a):
-        return obj.value(x + a * dx) <= f_ref + _ARMIJO_SIGMA * a * slope
+    def trial(a):
+        """``(a, point, F(point))`` if the step ``a`` is accepted, else None."""
+        point = x + a * dx
+        point.flags.writeable = False
+        value = obj.value(point)
+        if value <= f_ref + _ARMIJO_SIGMA * a * slope:
+            return a, point, value
+        return None
 
-    if accepted(start):
-        alpha = start
-        while alpha < 1.0 and accepted(2.0 * alpha):
-            alpha *= 2.0
-        return alpha
+    step = trial(start)
+    if step is not None:
+        while step[0] < 1.0:
+            wider = trial(2.0 * step[0])
+            if wider is None:
+                break
+            step = wider
+        return step
     alpha = 1.0
     while alpha >= 2.0 ** -50:
-        if alpha != start and accepted(alpha):
-            return alpha
+        if alpha != start:
+            step = trial(alpha)
+            if step is not None:
+                return step
         alpha *= 0.5
     raise StallError(f"no Armijo step above 2^-50 (slope {slope:.3e})")
 
@@ -302,13 +345,18 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
     re-raised as :class:`OracleError` with the iteration index.
 
     ``grad F = grad f + grad g`` is formed once per iterate and feeds
-    the residual, the policy direction and the Armijo rule. A direction
-    ``policy`` replaces the step toward the oracle output: the policy
-    supplies the direction, the residual and the Armijo reference value,
-    the step rule is always Armijo, and the gap is recorded without
-    stopping the run.
+    the residual, the policy direction and the Armijo rule. An Armijo
+    step moves to the accepted trial point and keeps the objective the
+    search computed there, so ``F`` is evaluated once per point. Every
+    iterate is a read-only array, which lets an objective cache work at
+    a point across its callables (see :func:`iterate_cache`);
+    ``x_final`` is writeable again. A direction ``policy`` replaces the
+    step toward the oracle output: the policy supplies the direction,
+    the residual and the Armijo reference value, the step rule is always
+    Armijo, and the gap is recorded without stopping the run.
     """
     x = np.array(x0, dtype=np.float64, copy=True)
+    x.flags.writeable = False
     t0 = time.perf_counter()
     trace: List[IterationRecord] = []
     termination = "max_iter"
@@ -318,6 +366,7 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
     use_residual = cfg.residual_tol is not None and residual_fn is not None
     warm_start = policy is None or policy.warm_start
     alpha = 1.0
+    objective = None  # F(x) when an Armijo search has computed it
 
     for k in range(cfg.max_iter + 1):
         grad_f = obj.f_grad(x)
@@ -326,7 +375,8 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
         except Exception as err:
             raise OracleError(k, err) from err
         gap = surrogate_gap(x, s, grad_f, obj)
-        objective = obj.value(x)
+        if objective is None:
+            objective = obj.value(x)
         if not math.isfinite(objective):
             raise EvaluationError(f"non-finite objective at iteration {k}")
         grad_F = grad_f + obj.g_grad(x)
@@ -358,17 +408,18 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
             termination = "stalled"
             break
 
-        if step_rule == "exact":
-            alpha = step_exact(obj, x, dx)
-        elif step_rule == "armijo":
+        if step_rule == "armijo":
             f_ref = objective if policy is None else policy.reference(objective)
-            alpha = step_armijo(obj, x, dx, grad_F, f_ref=f_ref,
-                                start=alpha if warm_start else 1.0)
+            alpha, x, objective = step_armijo(obj, x, dx, grad_F, f_ref=f_ref,
+                                              start=alpha if warm_start else 1.0)
         else:
-            alpha = step_fixed(k)
+            alpha = step_exact(obj, x, dx) if step_rule == "exact" else step_fixed(k)
+            x = x + alpha * dx
+            x.flags.writeable = False
+            objective = None
         record.alpha = float(alpha)
-        x = x + alpha * dx
 
+    x.flags.writeable = True
     return SolveResult(x_final=x, trace=trace, termination=termination)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .numerics import as_matrix, convex_min_unit, make_rng
-from .solver import SplitObjective, cg_adapter
+from .solver import SplitObjective, cg_adapter, iterate_cache
 
 # Output plans and entropy-gradient arguments are floored here.
 _PLAN_FLOOR = 1e-300
@@ -120,10 +120,12 @@ class TransportProblem:
         r, c = self.cost.shape
         if self.mu_s.shape != (r,) or self.mu_t.shape != (c,):
             raise ValueError("marginal lengths do not match the cost matrix")
-        if self.lambda_ent <= 0:
-            raise ValueError("lambda_ent must be positive")
-        if self.lambda_lap < 0:
-            raise ValueError("lambda_lap must be nonnegative")
+        if not 0.0 < self.lambda_ent < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"lambda_ent must be finite and positive, got {self.lambda_ent!r}")
+        if not 0.0 <= self.lambda_lap < math.inf:
+            raise ValueError(
+                f"lambda_lap must be finite and nonnegative, got {self.lambda_lap!r}")
         if self.lambda_lap > 0:
             checked = []
             for name, L, n in (("lap_s", self.lap_s, r), ("lap_t", self.lap_t, c)):
@@ -185,9 +187,11 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     The entropy gradient takes the plan floored at 1e-300, so it stays
     finite on plans with zero entries such as transport-simplex vertices.
     The exact step restricts ``F`` to the chord ``gamma + a d``: the cost
-    and Laplacian terms give the quadratic ``c1 a + c2 a^2`` from one
-    gradient and one ``laplacian_reg(d)``, and a safeguarded Newton
-    search (:func:`~gcgs.numerics.convex_min_unit`) on the slope adds the
+    and Laplacian terms give the quadratic ``c1 a + c2 a^2`` from the
+    gradient at ``gamma`` (in a :func:`~gcgs.solver.solve` run, the one
+    the loop formed, kept by :func:`~gcgs.solver.iterate_cache`) and one
+    ``laplacian_reg(d)``, and a safeguarded Newton search
+    (:func:`~gcgs.numerics.convex_min_unit`) on the slope adds the
     entropy's ``lambda_ent * sum(d * (1 + log(gamma + a d)))``, one
     ``log`` over the moving entries per step. That slope is infinite
     where an entry of the plan reaches zero at an end of the chord.
@@ -201,6 +205,7 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
         return (float(np.vdot(gamma, problem.cost))
                 + problem.lambda_lap * laplacian_reg(gamma, problem))
 
+    @iterate_cache  # the exact step reuses the gradient solve formed
     def f_grad(gamma):
         return problem.cost + problem.lambda_lap * laplacian_reg_grad(gamma, problem)
 

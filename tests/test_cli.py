@@ -225,6 +225,19 @@ class TestExitCodes:
         assert main(_enet_args(tmp_path, "--residual-tol", "-1")) == 2
         assert "residual_tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,name", [
+        (("enet", "--tau", "nan"), "tau"), (("enet", "--tau", "inf"), "tau"),
+        (("enet", "--lam", "nan"), "lam"), (("enet", "--lam", "-1"), "lam"),
+        (("ot", "--lambda-lap", "nan"), "lambda_lap"),
+        (("ot", "--lambda-ent", "inf"), "lambda_ent"),
+    ])
+    def test_non_finite_or_out_of_range_weights_exit_2(self, tmp_path, capsys,
+                                                        args, name):
+        build = _enet_args if args[0] == "enet" else _ot_args
+        assert main(build(tmp_path, *args[1:])) == 2
+        err = capsys.readouterr().err
+        assert f"gcgs: {name} must be finite" in err
+
     def test_strict_from_json_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"strict": True, "max_iter": 3}))

@@ -10,11 +10,17 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import gcgs.solver
 from gcgs import elasticnet
 from gcgs.numerics import golden_section_min, make_rng
-from gcgs.solver import SolverConfig, solve, surrogate_gap
+from gcgs.solver import (ProjectedGradient, SolverConfig,
+                         SpectralProjectedGradient, SplitObjective,
+                         cg_adapter, solve, surrogate_gap)
 from gcgs.elasticnet import (
+    LOSSES,
     Dataset,
     ElasticNetProblem,
     en_cg_split,
@@ -36,7 +42,7 @@ from gcgs.elasticnet import (
 from test_numerics import finite_diff_grad
 from test_solver import (armijo_evaluations, assert_chord_steps_agree,
                          assert_cold_armijo_gives_the_same_run,
-                         run_with_cold_armijo)
+                         run_with_cold_armijo, trace_bits)
 
 
 def save_csv_dataset(path, dataset, label_column="label"):
@@ -74,6 +80,35 @@ def project_l1_bisection(v, tau):
             hi = theta
     theta = 0.5 * (lo + hi)
     return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
+
+
+def project_l1_sorting_reference(v, tau):
+    """The sort-based projection as first written, one numpy call a step.
+
+    ``project_l1`` must return these bytes, signed zeros included.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    mag = np.abs(v)
+    if mag.sum() <= tau:
+        return v.copy()
+    u = np.sort(mag)[::-1]
+    cssv = np.cumsum(u) - tau
+    j = np.arange(1, u.size + 1)
+    rho = np.nonzero(u * j > cssv)[0][-1]
+    theta = cssv[rho] / (rho + 1.0)
+    return np.sign(v) * np.maximum(mag - theta, 0.0)
+
+
+def l1_lmo_reference(g, tau):
+    """The vertex oracle as first written."""
+    g = np.asarray(g, dtype=np.float64)
+    i = int(np.argmax(np.abs(g)))
+    s = np.zeros_like(g)
+    if g[i] == 0.0:
+        s[0] = tau
+    else:
+        s[i] = -tau * np.sign(g[i])
+    return s
 
 
 def en_subproblem_by_grid(grad, lam, tau, n_grid=801):
@@ -135,8 +170,32 @@ class TestProjectL1:
             assert np.sum((v - p) ** 2) <= np.sum((v - w) ** 2) + 1e-12
 
     def test_tau_validation(self):
-        with pytest.raises(ValueError, match="tau"):
-            project_l1(np.ones(3), 0.0)
+        for tau in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau"):
+                project_l1(np.ones(3), tau)
+
+    def test_rejects_matrices(self):
+        with pytest.raises(ValueError, match="1-D"):
+            project_l1(np.ones((2, 2)), 1.0)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(v=hnp.arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+               st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, -1.0]))),
+           tau=st.floats(1e-3, 1e3))
+    def test_same_bytes_as_the_sorting_reference(self, v, tau):
+        # ties, zeros of either sign and interior points included
+        assert (project_l1(v, tau).tobytes()
+                == project_l1_sorting_reference(v, tau).tobytes())
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(v=hnp.arrays(np.float64, st.integers(1, 20), elements=st.floats(-1e3, 1e3)),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+    def test_non_finite_entries_raise(self, v, bad, data):
+        v[data.draw(st.integers(0, v.size - 1), label="position")] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            project_l1(v, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            l1_lmo(v, 1.0)
 
 
 class TestSubproblemOracle:
@@ -189,8 +248,20 @@ class TestL1Lmo:
             assert float(g @ l1_lmo(g, tau)) <= best + 1e-12
 
     def test_tau_validation(self):
-        with pytest.raises(ValueError, match="tau"):
-            l1_lmo(np.ones(2), -1.0)
+        for tau in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau"):
+                l1_lmo(np.ones(2), tau)
+
+    def test_rejects_matrices(self):
+        with pytest.raises(ValueError, match="1-D"):
+            l1_lmo(np.ones((2, 2)), 1.0)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(g=hnp.arrays(np.float64, st.integers(1, 30), elements=st.one_of(
+               st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 2.0, -2.0]))),
+           tau=st.floats(1e-3, 1e3))
+    def test_same_bytes_as_the_reference(self, g, tau):
+        assert l1_lmo(g, tau).tobytes() == l1_lmo_reference(g, tau).tobytes()
 
 
 class TestLosses:
@@ -238,10 +309,11 @@ class TestLosses:
         with pytest.raises(ValueError, match="unknown loss"):
             ElasticNetProblem(Z=Z, y=np.ones(3), loss="huber",
                               lam=1.0, tau=1.0)
-        with pytest.raises(ValueError, match="lam"):
-            ElasticNetProblem(Z=Z, y=np.ones(3), lam=0.0, tau=1.0)
-        with pytest.raises(ValueError, match="tau"):
-            ElasticNetProblem(Z=Z, y=np.ones(3), lam=1.0, tau=-1.0)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lam"):
+                ElasticNetProblem(Z=Z, y=np.ones(3), lam=bad, tau=1.0)
+            with pytest.raises(ValueError, match="tau"):
+                ElasticNetProblem(Z=Z, y=np.ones(3), lam=1.0, tau=bad)
         with pytest.raises(ValueError, match="row counts"):
             ElasticNetProblem(Z=Z, y=np.ones(4), lam=1.0, tau=1.0)
 
@@ -444,14 +516,15 @@ class TestBaselines:
         # which the last iterate never takes
         assert len(calls["loss_grad"]) == n
         assert len(calls["project_l1"]) == projections * n - (projections - 2)
-        # one objective per iterate plus the Armijo trials; pg warm-starts
-        # each search at the last step, spg starts every search at 1
+        # the objective at x0 plus the Armijo trials (every later iterate
+        # is an accepted trial); pg warm-starts each search at the last
+        # step, spg starts every search at 1
         alphas = [rec.alpha for rec in result.trace[:-1]]
         trials = armijo_evaluations(alphas, warm=run is pg_solve)
-        assert len(calls["loss_eval"]) == n + trials
+        assert len(calls["loss_eval"]) == 1 + trials
         # the recorded gap is the splitting certificate at each iterate
         split = en_split(problem)
-        for rec, (_, x) in zip(result.trace, calls["loss_grad"]):
+        for rec, (_, x, _) in zip(result.trace, calls["loss_grad"]):
             grad_f = loss_grad(problem, x)
             gap = surrogate_gap(x, en_oracle(problem, x, grad_f), grad_f, split)
             assert rec.surrogate_gap == max(gap, 0.0)
@@ -477,7 +550,7 @@ class TestBaselines:
         # residual, plus the oracle for the splitting (cg's is a vertex)
         assert len(calls["loss_grad"]) == n
         assert len(calls["project_l1"]) == projections * n
-        for rec, (_, x) in zip(result.trace, calls["loss_grad"]):
+        for rec, (_, x, _) in zip(result.trace, calls["loss_grad"]):
             assert rec.extra_residual == fixed_point_residual(
                 problem, x, objective_grad(problem, x))
 
@@ -553,6 +626,150 @@ class TestBaselines:
             assert rec.extra_residual is not None
             assert rec.surrogate_gap >= 0.0
         assert result.trace[-1].extra_residual <= 1e-6
+
+
+def plain_split(problem):
+    """``en_split`` from plain calls: every value is computed afresh.
+
+    Its exact step is ``en_split``'s own formula on a fresh split and a
+    writeable copy of the point, so nothing is shared between calls.
+    """
+    lam, tau = problem.lam, problem.tau
+    return SplitObjective(
+        f_eval=lambda x: loss_eval(problem, x),
+        f_grad=lambda x: loss_grad(problem, x),
+        g_eval=lambda x: lam * float(x @ x),
+        g_grad=lambda x: 2.0 * lam * x,
+        partial_oracle=lambda x, gf: project_l1(-gf / (2.0 * lam), tau),
+        exact_step=lambda x, d: en_split(problem).exact_step(x.copy(), d),
+        residual=lambda x, grad_F: float(
+            np.abs(project_l1(x - grad_F, tau) - x).max()),
+    )
+
+
+def run_with_recomputed_armijo_points(monkeypatch, run):
+    """``run()`` with every Armijo step's point and objective recomputed.
+
+    The solver then evaluates ``F`` at each new iterate itself, as a
+    loop that does not carry the accepted trial would.
+    """
+    step_armijo = gcgs.solver.step_armijo
+
+    def recomputed(obj, x, dx, *args, **kwargs):
+        alpha = step_armijo(obj, x, dx, *args, **kwargs)[0]
+        point = x + alpha * dx
+        return alpha, point, obj.value(point)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gcgs.solver, "step_armijo", recomputed)
+        return run()
+
+
+class TestOnePointOnce:
+    """Each point of a solve is evaluated once, and nothing goes stale."""
+
+    @staticmethod
+    def _run(problem, solver, rule, split_of):
+        x0 = np.zeros(problem.Z.shape[1])
+        cfg = SolverConfig(step_rule=rule, gap_tol=0.0, residual_tol=1e-6,
+                           max_iter=300)
+        split = split_of(problem)
+        if solver in ("pg", "spg"):
+            policy = (ProjectedGradient if solver == "pg"
+                      else SpectralProjectedGradient)
+            return lambda: solve(split, x0, cfg, policy=policy(
+                lambda v: project_l1(v, problem.tau)))
+        if solver == "cg":
+            split = cg_adapter(split, lambda g: l1_lmo(g, problem.tau))
+        return lambda: solve(split, x0, cfg)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("solver,rule", [
+        ("cgs", "exact"), ("cgs", "armijo"), ("cg", "exact"),
+        ("cg", "armijo"), ("pg", "armijo"), ("spg", "armijo")])
+    def test_traces_match_plain_evaluation(self, monkeypatch, loss, solver, rule):
+        problem = _small_problem(seed=28, tau=0.8, loss=loss)
+        result = self._run(problem, solver, rule, en_split)()
+        reference = run_with_recomputed_armijo_points(
+            monkeypatch, self._run(problem, solver, rule, plain_split))
+        assert trace_bits(result) == trace_bits(reference)
+        if solver in ("pg", "spg"):
+            shipped = (pg_solve if solver == "pg" else spg_solve)(
+                problem, np.zeros(12), SolverConfig(residual_tol=1e-6, max_iter=300))
+            assert trace_bits(shipped) == trace_bits(result)
+
+    @pytest.mark.parametrize("solver,rule", [
+        ("cgs", "exact"), ("cg", "exact"), ("cgs", "armijo"), ("pg", "armijo")])
+    def test_one_image_per_point(self, monkeypatch, solver, rule):
+        images = []
+        iterate_cache = elasticnet.iterate_cache
+        monkeypatch.setattr(elasticnet, "iterate_cache", lambda fn: iterate_cache(
+            lambda x: images.append(x) or fn(x)))
+        problem = _small_problem(seed=16, d=6, loss="logistic", tau=1.5)
+        result = self._run(problem, solver, rule, en_split)()
+        monkeypatch.undo()
+        n = len(result.trace)
+        assert n > 10
+        if rule == "exact":
+            # f_grad, f_eval and the exact step share the iterate's Z @ x
+            assert len(images) == n
+        else:
+            # x0, then each Armijo trial once: every later iterate is an
+            # accepted trial, whose Z @ x the loop's gradient reuses
+            alphas = [rec.alpha for rec in result.trace[:-1]]
+            assert len(images) == 1 + armijo_evaluations(alphas)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_arrays_changed_in_place_get_fresh_values(self, loss):
+        problem = _small_problem(seed=30, d=6, loss=loss)
+        split = en_split(problem)
+        rng = make_rng(31)
+        d = project_l1(rng.standard_normal(6), problem.tau)
+
+        def fresh(x):
+            return (loss_eval(problem, x), loss_grad(problem, x).tobytes(),
+                    en_split(problem).exact_step(x.copy(), d))
+
+        def seen(x):
+            return (split.f_eval(x), split.f_grad(x).tobytes(),
+                    split.exact_step(x, d))
+
+        x = project_l1(rng.standard_normal(6), problem.tau)
+        assert seen(x) == fresh(x)
+        x *= 0.5  # a writeable array is never trusted
+        assert seen(x) == fresh(x)
+        # a frozen point is cached until someone makes it writeable again
+        x.flags.writeable = False
+        assert seen(x) == fresh(x)
+        x.flags.writeable = True
+        x[0] += 0.25
+        assert seen(x) == fresh(x)
+        # a read-only view does not own its data: its base can change
+        base = x.copy()
+        view = base[:]
+        view.flags.writeable = False
+        assert seen(view) == fresh(view)
+        base[1] -= 0.25
+        assert seen(view) == fresh(view)
+
+    @pytest.mark.parametrize("solver,rule", [
+        ("cgs", "exact"), ("cg", "armijo"), ("pg", "armijo"), ("spg", "armijo")])
+    def test_x_final_is_writeable_and_never_stale(self, solver, rule):
+        problem = _small_problem(seed=28, tau=0.8, loss="logistic")
+        split = en_split(problem)
+        x0 = np.zeros(12)
+        cfg = SolverConfig(step_rule=rule, gap_tol=0.0, residual_tol=1e-6,
+                           max_iter=50)
+        if solver in ("pg", "spg"):
+            result = (pg_solve if solver == "pg" else spg_solve)(problem, x0, cfg)
+        else:
+            result = solve(split if solver == "cgs" else en_cg_split(problem), x0, cfg)
+        x = result.x_final
+        assert x.flags.writeable and x0.flags.writeable
+        value = split.f_eval(x)
+        assert value == loss_eval(problem, x)
+        x *= 0.5
+        assert split.f_eval(x) == loss_eval(problem, x) != value
 
 
 class TestToyData:

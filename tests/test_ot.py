@@ -730,15 +730,17 @@ class TestProblemValidation:
                              uniform_histogram(2), lambda_ent=0.5)
 
     def test_nonpositive_lambda_ent(self):
-        with pytest.raises(ValueError, match="lambda_ent"):
-            TransportProblem(np.zeros((2, 2)), uniform_histogram(2),
-                             uniform_histogram(2), lambda_ent=0.0)
+        for lam in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lambda_ent"):
+                TransportProblem(np.zeros((2, 2)), uniform_histogram(2),
+                                 uniform_histogram(2), lambda_ent=lam)
 
     def test_negative_lambda_lap(self):
-        with pytest.raises(ValueError, match="lambda_lap"):
-            TransportProblem(np.zeros((2, 2)), uniform_histogram(2),
-                             uniform_histogram(2), lambda_ent=0.5,
-                             lambda_lap=-1.0)
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lambda_lap"):
+                TransportProblem(np.zeros((2, 2)), uniform_histogram(2),
+                                 uniform_histogram(2), lambda_ent=0.5,
+                                 lambda_lap=lam)
 
     def test_laplacian_field_requirements(self):
         a = uniform_histogram(3)
@@ -927,6 +929,32 @@ class TestSplitObjectives:
         assert np.all(np.diff(objs) <= 1e-12)
         assert np.all(result.gaps() >= 0.0)
         assert objs[-1] < objs[0]
+
+    @pytest.mark.parametrize("make_split", [
+        lambda p: ot_split(p, sinkhorn_tol=1e-6, warm_start=True), ot_cg_split,
+    ], ids=["cgs", "cg"])
+    def test_exact_step_reuses_the_iterates_gradient(self, monkeypatch, make_split):
+        # one Laplacian gradient per iterate: the exact step takes the
+        # one the loop formed instead of forming it again
+        import gcgs.transport
+        calls = []
+        monkeypatch.setattr(gcgs.transport, "laplacian_reg_grad",
+                            lambda g, p, _fn=laplacian_reg_grad: calls.append(g) or _fn(g, p))
+        problem = self._cluster_problem()
+        result = solve(make_split(problem), np.outer(problem.mu_s, problem.mu_t),
+                       SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=4))
+        assert len(result.trace) >= 3 and len(calls) == len(result.trace)
+        assert all(0.0 < r.alpha for r in result.trace[:-1])
+
+    def test_gradient_of_a_changed_plan_is_fresh(self):
+        problem = self._cluster_problem()
+        split = ot_split(problem)
+        gamma = np.outer(problem.mu_s, problem.mu_t)
+        first = split.f_grad(gamma).copy()
+        gamma[0, 0] *= 2.0
+        fresh = problem.cost + problem.lambda_lap * laplacian_reg_grad(gamma, problem)
+        np.testing.assert_array_equal(split.f_grad(gamma), fresh)
+        assert not np.array_equal(first, fresh)
 
     def test_oracle_failure_is_wrapped(self):
         problem = self._entropic_problem()

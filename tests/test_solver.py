@@ -9,8 +9,8 @@ import gcgs.solver
 from gcgs.numerics import EvaluationError, make_rng
 from gcgs.solver import (OracleError, SolverConfig, SplitObjective, StallError,
                          cg_adapter, check_fixed_point, estimate_curvature,
-                         solve, step_armijo, step_exact, step_fixed,
-                         surrogate_gap)
+                         iterate_cache, solve, step_armijo, step_exact,
+                         step_fixed, surrogate_gap)
 
 
 def interval_quadratic():
@@ -182,15 +182,18 @@ class TestSteps:
         obj = ridge_on_ball(lam=1e-8)  # essentially linear objective
         x = np.zeros(2)
         d = np.array([0.0, 1.0])  # slope -2 direction
-        assert step_armijo(obj, x, d, obj.f_grad(x)) == 1.0
+        assert step_armijo(obj, x, d, obj.f_grad(x))[0] == 1.0
 
     def test_armijo_backtracks(self):
         # F = x^2, x=1, d=-4, slope -8: alpha=1 gives F(-3)=9, alpha=0.5
         # gives F(-1)=1 (no strict decrease); alpha=0.25 lands at 0
         obj = interval_quadratic()
-        a = step_armijo(obj, np.array([1.0]), np.array([-4.0]),
-                        np.array([2.0]))
+        a, point, value = step_armijo(obj, np.array([1.0]), np.array([-4.0]),
+                                      np.array([2.0]))
         assert a == 0.25
+        # the accepted trial point and its objective, read-only
+        assert point.tolist() == [0.0] and value == 0.0
+        assert not point.flags.writeable
 
     def test_armijo_stalls_on_ascent(self):
         obj = interval_quadratic()
@@ -209,9 +212,11 @@ class TestSteps:
         obj = interval_quadratic()
         f_eval, tried = obj.f_eval, []
         obj.f_eval = lambda x: tried.append((x[0] - 1.0) / -4.0) or f_eval(x)
-        a = step_armijo(obj, np.array([1.0]), np.array([-4.0]),
-                        np.array([2.0]), f_ref=1.0, start=start)
+        a, point, value = step_armijo(obj, np.array([1.0]), np.array([-4.0]),
+                                      np.array([2.0]), f_ref=1.0, start=start)
         assert a == 0.25
+        # the accepted trial, not the last one tried, is returned
+        assert point.tolist() == [0.0] and value == 0.0
         assert tried == trials
         assert armijo_evaluations([start, a]) - armijo_evaluations([start]) == len(trials)
 
@@ -263,7 +268,7 @@ class TestSteps:
 
         def search(start, direction, reference):
             try:
-                return step_armijo(obj, x, direction, g, f_ref=reference, start=start)
+                return step_armijo(obj, x, direction, g, f_ref=reference, start=start)[0]
             except StallError:
                 return "stall"
 
@@ -292,13 +297,13 @@ class TestSteps:
             partial_oracle=lambda x, g: x)
         x, dx = np.array([0.651497783107514]), np.array([-0.1])
         g = obj.grad(x)
-        assert step_armijo(obj, x, dx, g) == 1.0
-        assert step_armijo(obj, x, dx, g, start=2.0 ** -50) == 2.0 ** -50
+        assert step_armijo(obj, x, dx, g)[0] == 1.0
+        assert step_armijo(obj, x, dx, g, start=2.0 ** -50)[0] == 2.0 ** -50
         assert obj.value(x + 2.0 ** -49 * dx) > obj.value(x)  # rounding
         # a reference above F(x) by more than its rounding accepts the
         # whole bracket, and the warm start is exact again
         f_ref = obj.value(x) + 1e-10
-        assert step_armijo(obj, x, dx, g, f_ref=f_ref, start=2.0 ** -50) == 1.0
+        assert step_armijo(obj, x, dx, g, f_ref=f_ref, start=2.0 ** -50)[0] == 1.0
 
 
 class TestSolve:
@@ -372,10 +377,11 @@ class TestSolve:
         obj.f_eval = lambda x: evals.append(x) or f_eval(x)
         res = solve(obj, np.array([0.9]),
                     SolverConfig(step_rule="armijo", gap_tol=1e-6, max_iter=50))
-        # one evaluation per iterate plus the trials of each search
+        # F(x0), then only the trials of each search: every iterate
+        # after x0 is an accepted trial, whose objective the search holds
         alphas = [rec.alpha for rec in res.trace[:-1]]
         assert len(res.trace) > 2 and min(alphas) < 1.0
-        assert len(evals) == len(res.trace) + armijo_evaluations(alphas)
+        assert len(evals) == 1 + armijo_evaluations(alphas)
 
     def test_oracle_error_carries_iteration(self):
         obj = interval_quadratic()
@@ -416,6 +422,72 @@ class TestSolve:
                 SolverConfig(residual_tol=bad)
         with pytest.raises(ValueError, match="max_iter"):
             SolverConfig(max_iter=2.5)
+
+
+class TestIterateCache:
+    @staticmethod
+    def _counted():
+        calls = []
+        return calls, iterate_cache(lambda x: calls.append(x) or float(np.sum(x)))
+
+    def test_frozen_points_are_computed_once(self):
+        calls, cached = self._counted()
+        x = np.array([1.0, 2.0])
+        x.flags.writeable = False
+        assert cached(x) == cached(x) == 3.0
+        assert len(calls) == 1
+        # an equal array is not the same point
+        y = np.array([1.0, 2.0])
+        y.flags.writeable = False
+        assert cached(y) == 3.0 and len(calls) == 2
+
+    def test_keeps_the_last_two_points(self):
+        calls, cached = self._counted()
+        points = [np.full(2, float(i)) for i in range(3)]
+        for p in points:
+            p.flags.writeable = False
+        for p in points:
+            cached(p)
+        cached(points[1])
+        cached(points[2])
+        assert len(calls) == 3
+        cached(points[0])
+        assert len(calls) == 4
+
+    def test_never_trusts_arrays_that_can_change(self):
+        calls, cached = self._counted()
+        x = np.array([1.0, 2.0])
+        assert cached(x) == 3.0
+        x[0] = 5.0  # writeable: recomputed on every call
+        assert cached(x) == 7.0
+        x.flags.writeable = False
+        assert cached(x) == 7.0
+        x.flags.writeable = True  # writeable again: no longer trusted
+        x[0] = 0.0
+        assert cached(x) == 2.0
+        base = np.array([1.0, 1.0])
+        view = base[:]
+        view.flags.writeable = False  # read-only, but its base is not
+        assert cached(view) == 2.0
+        base[0] = 4.0
+        assert cached(view) == 5.0
+        assert len(calls) == 6
+        assert cached([1.0, 2.0]) == 3.0  # not an array at all
+
+    def test_solve_freezes_iterates_and_returns_a_writeable_point(self):
+        points = []
+        obj = interval_quadratic()
+        f_grad = obj.f_grad
+        obj.f_grad = lambda x: points.append(x) or f_grad(x)
+        for rule in ("exact", "armijo", "fixed"):
+            x0 = np.array([0.9])
+            res = solve(obj, x0, SolverConfig(step_rule=rule, gap_tol=0.0,
+                                              max_iter=5))
+            # writeable again once the run is over
+            assert not any(p.flags.writeable for p in points[:-1])
+            assert res.x_final is points[-1] and res.x_final.flags.writeable
+            assert x0.flags.writeable and x0[0] == 0.9
+            points.clear()
 
 
 class TestCgAdapter:
