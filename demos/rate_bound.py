@@ -21,7 +21,7 @@ def quadratic_over_l1_ball(coeffs, tau):
         f_eval=lambda x: float(coeffs @ (x * x)),
         f_grad=lambda x: 2.0 * coeffs * x,
         g_eval=lambda x: 0.0,
-        g_grad=np.zeros_like,
+        g_grad=None,
         partial_oracle=lambda x, gf: l1_lmo(gf, tau))
 
 

@@ -104,7 +104,11 @@ def project_l1(v: np.ndarray, tau: float) -> np.ndarray:
 
     Interior points are returned unchanged (as a copy); otherwise the
     exact soft-threshold is found by sorting the magnitudes, O(n log n).
-    ``v`` must be 1-D and finite, ``tau`` finite and positive.
+    ``v`` must be 1-D and finite, ``tau`` finite and positive. When
+    ``||v||_1`` overflows, the projection is taken in units of the
+    largest magnitude. When ``tau`` is below half an ulp of the largest
+    magnitude, rounding rejects every threshold; the exact projection
+    is then within that half ulp of zero, which is returned.
     """
     _check_radius(tau)
     v = np.asarray(v, dtype=np.float64)
@@ -116,17 +120,24 @@ def project_l1(v: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError("vector contains non-finite entries")
     if total <= tau:
         return v.copy()
+    scale = float(mag.max()) if total == math.inf else 1.0
+    if scale != 1.0:
+        mag /= scale
+        tau /= scale
     u = mag.copy()
     u.sort()
     u = u[::-1]
     cssv = u.cumsum()
     cssv -= tau
-    rho = int((u * _ranks(u.size) > cssv).nonzero()[0][-1])
+    passed = (u * _ranks(u.size) > cssv).nonzero()[0]
+    rho = int(passed[-1]) if passed.size else 0
     theta = float(cssv[rho]) / (rho + 1.0)
     out = mag
     out -= theta
     np.maximum(out, 0.0, out=out)
     out *= np.sign(v)
+    if scale != 1.0:
+        out *= scale
     return out
 
 

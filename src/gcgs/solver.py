@@ -58,7 +58,8 @@ class SplitObjective:
     """Evaluators for one composite problem instance.
 
     ``partial_oracle(x, grad_f)`` must return a feasible minimizer of
-    ``<grad_f, s> + g(s)`` over the feasible set. ``exact_step``, when
+    ``<grad_f, s> + g(s)`` over the feasible set. ``g_grad`` is ``None``
+    when ``g = 0``; ``grad f`` is then ``grad F`` itself. ``exact_step``, when
     given, replaces the golden-section line search with a
     problem-supplied 1-D minimizer;
     ``residual(x, grad_F)``, given ``grad_F = grad f(x) + grad g(x)``, is
@@ -69,7 +70,7 @@ class SplitObjective:
     f_eval: Callable[[np.ndarray], float]
     f_grad: Callable[[np.ndarray], np.ndarray]
     g_eval: Callable[[np.ndarray], float]
-    g_grad: Callable[[np.ndarray], np.ndarray]
+    g_grad: Optional[Callable[[np.ndarray], np.ndarray]]
     partial_oracle: Callable[[np.ndarray, np.ndarray], np.ndarray]
     exact_step: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     residual: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
@@ -78,6 +79,8 @@ class SplitObjective:
         return self.f_eval(x) + self.g_eval(x)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
+        if self.g_grad is None:
+            return self.f_grad(x)
         return self.f_grad(x) + self.g_grad(x)
 
 
@@ -379,7 +382,7 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
             objective = obj.value(x)
         if not math.isfinite(objective):
             raise EvaluationError(f"non-finite objective at iteration {k}")
-        grad_F = grad_f + obj.g_grad(x)
+        grad_F = grad_f if obj.g_grad is None else grad_f + obj.g_grad(x)
         residual = residual_fn(x, grad_F) if residual_fn is not None else None
         record = IterationRecord(
             k=k,
@@ -435,7 +438,7 @@ def cg_adapter(obj: SplitObjective, lmo: Callable[[np.ndarray], np.ndarray]) -> 
         f_eval=obj.value,
         f_grad=obj.grad,
         g_eval=lambda x: 0.0,
-        g_grad=np.zeros_like,
+        g_grad=None,
         partial_oracle=lambda x, grad_F: lmo(grad_F),
         exact_step=obj.exact_step,  # minimizes the same F along chords
         residual=obj.residual,

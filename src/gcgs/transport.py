@@ -12,9 +12,10 @@ with Omega_ent the negentropy sum(gamma * log(gamma)) and Omega_lap a
 quadratic graph-Laplacian term penalizing distortion of transported
 sample positions. The split used by the solver linearizes the cost and
 Laplacian parts; the resulting subproblem is entropic transport with an
-adjusted cost and is solved by Sinkhorn-Knopp scaling. An exact
-transportation-simplex linear minimizer supports the classic
-conditional gradient baseline.
+adjusted cost and is solved by Sinkhorn-Knopp scaling. An exact linear
+minimizer supports the classic conditional gradient baseline: shortest
+augmenting paths when the instance is an assignment problem (square,
+all marginal entries equal), a transportation simplex otherwise.
 """
 
 import math
@@ -253,10 +254,13 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
 def ot_cg_split(problem: TransportProblem, warm_start: bool = True) -> SplitObjective:
     """Classic conditional gradient formulation of the same problem.
 
-    Fully linearizes the objective of :func:`ot_split` and calls the
-    exact transportation simplex as linear minimization oracle. Vertices
-    of the polytope carry exact zeros; the split's floored entropy
-    gradient keeps the full gradient finite there.
+    Fully linearizes the objective of :func:`ot_split` and calls
+    :func:`transport_lmo` as linear minimization oracle. With
+    ``warm_start`` each call starts from the previous call's basis; on
+    uniform square marginals the oracle solves an assignment problem
+    and returns no basis, so every call runs cold there. Vertices of
+    the polytope carry exact zeros; the split's floored entropy gradient
+    keeps the full gradient finite there.
     """
     state = {"basis": None}
 
@@ -438,24 +442,29 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t, basis=None,
                   return_basis: bool = False, return_duals: bool = False):
     """Exact minimizer of ``<gamma, cost_adj>`` over the transport polytope.
 
-    Transportation simplex with a north-west-corner start and MODI
-    pivoting. The basis tree is rooted once, giving the duals and the
-    basic flows as subtree sums, and kept across pivots: each pivot
-    climbs from both ends of the entering cell to their common ancestor
-    for the cycle, shifts its flows and re-hangs the subtree the leaving
-    cell cuts off, recomputing only that subtree's duals. Marginals are
-    perturbed by ``i * 1e-12`` (then re-normalized) against degenerate
-    pivoting; the returned vertex is solved on the final tree against
-    the original marginals, so its row and column sums are exact up to
-    summation error. Optimality is certified by dual potentials with all
-    reduced costs ``>= -1e-9``.
+    Square instances whose marginal entries are all one float, and that
+    come without a ``basis``, are assignment problems: the polytope is
+    the scaled Birkhoff polytope, whose vertices are scaled permutations.
+    They are solved by shortest augmenting paths (:func:`_assignment`),
+    and the plan is ``mu_s[i]`` at each assigned cell and exactly zero
+    elsewhere. That path has no basis tree, so ``return_basis`` gives
+    ``None`` for it.
 
-    ``basis`` warm-starts from a previous optimal basis (the feasible
-    bases depend only on the marginals, so any earlier basis for the
-    same marginals is valid); a basis that is not a spanning tree of
-    ``r + c - 1`` in-range cells, or not feasible for these marginals,
-    raises ``ValueError``. Exceeding the pivot budget raises
-    :class:`DegeneracyError`.
+    Every other instance goes to the transportation simplex
+    (:func:`_transport_simplex`): a north-west-corner start, or the
+    given ``basis``, and MODI pivoting. ``basis`` warm-starts from a
+    previous optimal basis (the feasible bases depend only on the
+    marginals, so any earlier basis for the same marginals is valid); a
+    basis that is not a spanning tree of ``r + c - 1`` in-range cells,
+    or not feasible for these marginals, raises ``ValueError``.
+    Exceeding the pivot budget raises :class:`DegeneracyError`.
+
+    Both paths certify optimality by dual potentials ``(u, v)``, which
+    ``return_duals`` returns: all reduced costs
+    ``cost_adj - u[:, None] - v`` are ``>= -1e-9`` and ``mu_s @ u +
+    mu_t @ v`` equals the plan's value. A cost that is not finite, or
+    on the assignment path one whose range overflows its arithmetic,
+    raises ``ValueError``.
     """
     cost = np.asarray(cost_adj, dtype=np.float64)
     a = as_histogram(mu_s)
@@ -466,6 +475,109 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t, basis=None,
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost must be finite")
 
+    if basis is None and r == c and np.all(a == a[0]) and np.all(b == a[0]):
+        cols, u, v = _assignment(cost)
+        gamma = np.zeros((r, c))
+        gamma[np.arange(r), cols] = a
+    else:
+        gamma, basis, u, v = _transport_simplex(cost, a, b, basis)
+
+    out = (gamma,)
+    if return_basis:
+        out = out + (basis,)
+    if return_duals:
+        out = out + ((u, v),)
+    return out[0] if len(out) == 1 else out
+
+
+def _assignment(cost):
+    """Optimal assignment of rows to columns, with its dual potentials.
+
+    Shortest augmenting paths (Jonker & Volgenant 1987; Crouse 2016,
+    "On implementing 2D rectangular assignment algorithms", IEEE TAES).
+    Rows are reduced, then columns, and rows are matched greedily to
+    free columns on cells of zero reduced cost. Each row left free then
+    grows a Dijkstra tree over the reduced costs ``cost - u[:, None] -
+    v`` until it reaches a free column, swaps the assignments along the
+    path and updates the duals of the scanned rows and columns once.
+    A step scans one row into the tentative distances: a scanned column
+    is ``-inf`` in the augmentation's copy of ``v``, so its distance
+    stays ``+inf`` and the argmin never picks it again. The scanned rows
+    are kept and give each path column's predecessor at the end, as the
+    first scan that reached its distance.
+
+    Returns ``(cols, u, v)``: row ``i`` goes to column ``cols[i]``,
+    ``u_i + v_j <= cost_ij`` up to rounding, with equality on the
+    assigned cells. Raises ``ValueError`` when a distance or a dual
+    leaves the finite floats, which a cost range near the float64
+    limit can cause.
+    """
+    n = cost.shape[0]
+    u = cost.min(axis=1)
+    reduced = cost - u[:, None]
+    v = reduced.min(axis=0)
+    reduced -= v
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for i in range(n):
+        for j in np.flatnonzero(reduced[i] == 0.0).tolist():
+            if row4col[j] < 0:
+                col4row[i], row4col[j] = j, i
+                break
+    for free in [i for i in range(n) if col4row[i] < 0]:
+        dist = np.full(n, np.inf)
+        v_open = v.copy()
+        rows, cols, reached, scans = [], [], [], []
+        i, d = free, 0.0
+        for _ in range(n):
+            scan = cost[i] + (d - u[i])
+            scan -= v_open
+            np.minimum(dist, scan, out=dist)
+            j = int(dist.argmin())
+            d = float(dist[j])
+            dist[j] = np.inf
+            v_open[j] = -np.inf
+            rows.append(i)
+            cols.append(j)
+            reached.append(d)
+            scans.append(scan)
+            i = row4col[j]
+            if i < 0:
+                break
+        # finite arithmetic reaches a free column within n steps
+        if i >= 0 or not math.isfinite(d):
+            raise ValueError("cost range overflows the assignment's arithmetic")
+        # duals: u + v stays <= cost, with equality on the tree's cells
+        shift = d - np.array(reached)
+        u[rows[0]] += d
+        u[rows[1:]] += shift[:-1]
+        v[cols] -= shift
+        scans = np.array(scans)
+        while i != free:
+            i = rows[int(scans[:, j].argmin())]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("cost range overflows the assignment's arithmetic")
+    return np.array(col4row), u, v
+
+
+def _transport_simplex(cost, a, b, basis):
+    """Transportation simplex behind :func:`transport_lmo`.
+
+    MODI pivoting from a north-west-corner start, or from ``basis``. The
+    basis tree is rooted once, giving the duals and the basic flows as
+    subtree sums, and kept across pivots: each pivot climbs from both
+    ends of the entering cell to their common ancestor for the cycle,
+    shifts its flows and re-hangs the subtree the leaving cell cuts off,
+    recomputing only that subtree's duals. Marginals are perturbed by
+    ``i * 1e-12`` (then re-normalized) against degenerate pivoting; the
+    returned vertex is solved on the final tree against the original
+    marginals, so its row and column sums are exact up to summation
+    error. Returns ``(gamma, basis, u, v)`` with all reduced costs
+    ``>= -1e-9``.
+    """
+    r, c = cost.shape
     eps0 = 1e-12
     ap = a + eps0 * np.arange(1, r + 1)
     ap = ap / ap.sum()
@@ -557,13 +669,7 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t, basis=None,
     gamma = np.zeros((r, c))
     rows, cols = zip(*basis)
     gamma[rows, cols] = np.clip(final, 0.0, None)
-
-    out = (gamma,)
-    if return_basis:
-        out = out + (list(basis),)
-    if return_duals:
-        out = out + ((u, v),)
-    return out[0] if len(out) == 1 else out
+    return gamma, list(basis), u, v
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,29 @@ def project_l1_sorting_reference(v, tau):
     return np.sign(v) * np.maximum(mag - theta, 0.0)
 
 
+def assert_l1_projection(v, tau, p):
+    """``p`` is the L1-ball projection of ``v`` up to rounding at ``max|v|``.
+
+    Checks the optimality conditions with the absolute tolerance
+    ``delta = 8 n eps max|v|``: ``||p||_1 <= tau + delta``; ``p``
+    shrinks every entry of ``v`` toward zero without changing its sign,
+    the nonzero entries by the same ``theta`` (to ``delta``), where
+    ``theta`` is the largest shrink; and either ``theta <= delta`` (the
+    interior, where ``p`` is ``v``) or ``||p||_1 >= tau - delta`` (the
+    sphere).
+    """
+    mag = np.abs(v)
+    delta = 8.0 * v.size * np.finfo(float).eps * float(mag.max())
+    assert p.shape == v.shape and np.all(np.isfinite(p))
+    l1 = float(np.abs(p).sum())
+    assert l1 <= tau + delta
+    assert np.all(np.sign(p) * np.sign(v) >= 0.0) and np.all(np.abs(p) <= mag)
+    shrink = mag - np.abs(p)
+    theta = float(shrink.max())
+    assert np.all(shrink[p != 0.0] >= theta - delta)
+    assert theta <= delta or l1 >= tau - delta
+
+
 def l1_lmo_reference(g, tau):
     """The vertex oracle as first written."""
     g = np.asarray(g, dtype=np.float64)
@@ -186,6 +209,25 @@ class TestProjectL1:
         # ties, zeros of either sign and interior points included
         assert (project_l1(v, tau).tobytes()
                 == project_l1_sorting_reference(v, tau).tobytes())
+
+    @pytest.mark.parametrize("v, tau", [
+        ([1e20, 1e20], 1.0), ([1e17, 3.0], 1.0), ([1e308, -1e308, 1.0], 2.0)])
+    def test_rounding_and_overflow_extremes(self, v, tau):
+        # tau below half an ulp of max|v| rejects every threshold, and
+        # |v|_1 overflows in the last case
+        with np.errstate(over="ignore"):
+            p = project_l1(np.array(v), tau)
+        assert_l1_projection(np.array(v), tau, p)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(v=hnp.arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+               st.floats(-1e308, 1e308), st.floats(-1e3, 1e3),
+               st.sampled_from([0.0, 1e20, -1e20, 1e308, -1e308, 3.0]))),
+           tau=st.one_of(st.floats(1e-3, 1e3), st.floats(1e-300, 1e300)))
+    def test_property_projection_at_any_magnitude(self, v, tau):
+        with np.errstate(over="ignore"):
+            p = project_l1(v, tau)
+        assert_l1_projection(v, tau, p)
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(v=hnp.arrays(np.float64, st.integers(1, 20), elements=st.floats(-1e3, 1e3)),

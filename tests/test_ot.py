@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -608,6 +609,90 @@ class TestTransportLmo:
             transport_lmo(cost, a, a)
 
 
+class TestAssignmentPath:
+    """Square instances with one marginal weight: shortest augmenting paths."""
+
+    @staticmethod
+    def assert_certified(cost, gamma, u, v):
+        n = cost.shape[0]
+        a = uniform_histogram(n)
+        assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
+        assert abs(float(np.vdot(gamma, cost)) - float(a @ u + a @ v)) <= 1e-9
+        # one entry 1/n per row and column, exact zeros elsewhere
+        assert set(np.unique(gamma)) <= {0.0, a[0]}
+        assert np.array_equal(gamma.sum(axis=1), a)
+        assert np.array_equal(gamma.sum(axis=0), a)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_property_matches_rebuild_reference(self, data):
+        n = data.draw(st.integers(1, 8))
+        if data.draw(st.booleans()):  # ties
+            cost = data.draw(hnp.arrays(np.int64, (n, n), elements=st.integers(0, 3))
+                             ).astype(np.float64)
+        else:
+            cost = data.draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)))
+        a = uniform_histogram(n)
+        gamma, basis, (u, v) = transport_lmo(cost, a, a, return_basis=True,
+                                             return_duals=True)
+        assert basis is None
+        lp_value = float(np.vdot(transport_lmo_rebuild_reference(cost, a, a), cost))
+        assert abs(float(np.vdot(gamma, cost)) - lp_value) <= 1e-12
+        self.assert_certified(cost, gamma, u, v)
+
+    def test_same_bytes_as_the_simplex_on_cluster_gradients(self):
+        problem = TestSplitObjectives._cluster_problem(seed=0, n=30)
+        split = ot_cg_split(problem)
+        x0 = np.outer(problem.mu_s, problem.mu_t)
+        run = solve(split, x0, SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=5))
+        a = problem.mu_s
+        for x in (x0, run.x_final):
+            grad = split.f_grad(x)
+            gamma, (u, v) = transport_lmo(grad, a, a, return_duals=True)
+            assert gamma.tobytes() == transport_lmo_rebuild_reference(grad, a, a).tobytes()
+            self.assert_certified(grad, gamma, u, v)
+
+    def test_a_basis_or_unequal_weights_take_the_simplex(self, monkeypatch):
+        rooted = []
+        monkeypatch.setattr(gcgs.transport, "_rooted_tree",
+                            lambda *args, _fn=gcgs.transport._rooted_tree:
+                            rooted.append(1) or _fn(*args))
+        rng = make_rng(53)
+        n = 6
+        cost, a = rng.random((n, n)), uniform_histogram(n)
+        transport_lmo(cost, a, a)
+        assert not rooted
+        # a staircase spanning tree is a feasible basis for equal marginals
+        staircase = [(i, i) for i in range(n)] + [(i, i + 1) for i in range(n - 1)]
+        gamma, basis, (u, v) = transport_lmo(cost, a, a, basis=staircase,
+                                             return_basis=True, return_duals=True)
+        assert rooted and len(basis) == 2 * n - 1
+        np.testing.assert_array_equal(gamma, transport_lmo_rebuild_reference(cost, a, a))
+        assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
+        with pytest.raises(ValueError, match="wrong size"):
+            transport_lmo(cost, a, a, basis=staircase[:-1])
+        rooted.clear()
+        _, basis = transport_lmo(cost, _hist(rng, n), a, return_basis=True)
+        assert rooted and len(basis) == 2 * n - 1
+
+    def test_overflowing_cost_range_raises(self):
+        # finite costs whose differences overflow float64: the search
+        # meets NaN distances and must stop instead of cycling
+        cost = np.array([[1.7e308, -1e308, 1e308],
+                         [-1e308, -1.7e308, -1e308],
+                         [0.0, -1.7e308, 1e308]])
+        a = uniform_histogram(3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflows"):
+                transport_lmo(cost, a, a)
+
+    def test_single_cell(self):
+        gamma, basis, (u, v) = transport_lmo(np.array([[-2.5]]), [1.0], [1.0],
+                                             return_basis=True, return_duals=True)
+        assert gamma.tolist() == [[1.0]] and basis is None
+        assert u[0] + v[0] == -2.5
+
+
 def test_solves_load_no_heavy_scipy_modules():
     """The library needs only scipy.special: scipy.optimize alone adds
     about 21 MB of resident memory on import."""
@@ -871,7 +956,8 @@ class TestSplitObjectives:
             lambda_ent=lam,
         )
 
-    def _cluster_problem(self, seed=15, n=12, lambda_lap=1.0):
+    @staticmethod
+    def _cluster_problem(seed=15, n=12, lambda_lap=1.0):
         Xs, Xt, mu_s, mu_t = make_cluster_data(n, n, seed=seed)
         return TransportProblem(
             cost=squared_distances(Xs, Xt),
@@ -1018,7 +1104,8 @@ class TestSplitObjectives:
 
     def test_cg_split_roots_the_basis_tree_at_most_twice_per_call(self, monkeypatch):
         # the tree is rooted once to start and once for the returned
-        # plan; pivots update it in place instead of rebuilding it
+        # plan; pivots update it in place instead of rebuilding it.
+        # Unequal source weights keep the oracle on the simplex.
         calls = {"lmo": 0, "rooted": 0}
 
         def counted(name, fn):
@@ -1032,12 +1119,13 @@ class TestSplitObjectives:
                             counted("lmo", transport.transport_lmo))
         monkeypatch.setattr(transport, "_rooted_tree",
                             counted("rooted", transport._rooted_tree))
-        problem = self._cluster_problem(seed=0, n=30)
+        problem = replace(self._cluster_problem(seed=0, n=30),
+                          mu_s=_hist(make_rng(61), 30))
         solve(ot_cg_split(problem, warm_start=True),
               np.outer(problem.mu_s, problem.mu_t),
               SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=10))
         assert calls["lmo"] >= 10
-        assert calls["rooted"] <= 2 * calls["lmo"]
+        assert 0 < calls["rooted"] <= 2 * calls["lmo"]
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_chord_steps_agree_with_golden_section(self, warm):

@@ -511,12 +511,24 @@ class TestCgAdapter:
         assert cg.exact_step is obj.exact_step
 
     def test_zero_g_part(self):
+        # g = 0 has no gradient callable: grad F is grad f itself
         obj = ridge_on_ball()
         cg = cg_adapter(obj, lambda g: g)
         x = np.array([0.2, -0.1])
         assert cg.g_eval(x) == 0.0
-        assert np.array_equal(cg.g_grad(x), np.zeros(2))
+        assert cg.g_grad is None
+        assert np.array_equal(cg.grad(x), obj.grad(x))
         assert cg.f_eval(x) == pytest.approx(obj.value(x))
+
+    @pytest.mark.parametrize("rule", ["exact", "armijo", "fixed"])
+    def test_no_g_gradient_runs_the_zero_gradient_trace(self, rule):
+        from gcgs.elasticnet import l1_lmo
+        cg = cg_adapter(ridge_on_ball(c=np.array([1.0, -2.0, 0.0, 0.5])),
+                        lambda g: l1_lmo(g, 1.0))
+        cfg = SolverConfig(step_rule=rule, gap_tol=0.0, max_iter=200)
+        with_zeros = replace(cg, g_grad=np.zeros_like)
+        assert (trace_bits(solve(cg, np.zeros(4), cfg))
+                == trace_bits(solve(with_zeros, np.zeros(4), cfg)))
 
 
 class TestShippedSplits:
