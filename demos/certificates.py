@@ -71,7 +71,7 @@ def splitting_gap_is_sharper():
     problem = tr.TransportProblem(cost, a, b, lambda_ent=0.05)
 
     # record the iterates the classic solver actually visits
-    cg = tr.ot_cg_split(problem, warm_start=True)
+    cg = tr.ot_cg_split(problem)
     pairs = []
     solve(_spy_oracle(cg, pairs), np.outer(a, b),
           SolverConfig(step_rule="armijo", gap_tol=0.0, max_iter=15))

@@ -62,7 +62,7 @@ def main():
            r_cgs, problem, time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    r_cg = solve(tr.ot_cg_split(problem, warm_start=True), x0, cfg)
+    r_cg = solve(tr.ot_cg_split(problem), x0, cfg)
     report("classic conditional gradient (vertex oracle)",
            r_cg, problem, time.perf_counter() - t0)
 

@@ -207,7 +207,7 @@ def run_ot(config):
         split = tr.ot_split(problem, sinkhorn_tol=stol,
                             sinkhorn_max_iter=50000, warm_start=True)
     else:
-        split = tr.ot_cg_split(problem, warm_start=True)
+        split = tr.ot_cg_split(problem)
 
     gap_tol = config["gap_tol"]
     if gap_tol is None:

@@ -121,20 +121,18 @@ class SolverConfig:
     ``gap_tol`` is an absolute threshold on the surrogate gap.
     ``residual_tol`` activates the problem-specific residual stopping
     rule when the objective defines one (e.g. the projected fixed-point
-    residual of the constrained elastic-net solvers). With
-    ``record_trace`` off the trace keeps only the final record. The
-    Armijo rule takes the largest step in {1, 0.5, 0.25, ...} with
-    sufficient decrease 1e-4; :func:`solve` warm-starts each search at
-    the last accepted step (see :func:`step_armijo`), which for convex
-    ``F`` gives the same steps as scanning down from 1 every time,
-    except where rounding of ``F`` decides the test.
+    residual of the constrained elastic-net solvers). The Armijo rule
+    takes the largest step in {1, 0.5, 0.25, ...} with sufficient
+    decrease 1e-4; :func:`solve` warm-starts each search at the last
+    accepted step (see :func:`step_armijo`), which for convex ``F``
+    gives the same steps as scanning down from 1 every time, except
+    where rounding of ``F`` decides the test.
     """
 
     step_rule: str = "exact"
     max_iter: int = 1000
     gap_tol: float = 1e-8
     residual_tol: Optional[float] = None
-    record_trace: bool = True
 
     def __post_init__(self):
         if self.step_rule not in ("exact", "armijo", "fixed"):
@@ -392,8 +390,6 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
             elapsed_s=time.perf_counter() - t0,
             extra_residual=residual,
         )
-        if not cfg.record_trace:
-            trace.clear()
         trace.append(record)
 
         if use_residual and residual <= cfg.residual_tol:

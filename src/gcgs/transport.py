@@ -13,12 +13,14 @@ quadratic graph-Laplacian term penalizing distortion of transported
 sample positions. The split used by the solver linearizes the cost and
 Laplacian parts; the resulting subproblem is entropic transport with an
 adjusted cost and is solved by Sinkhorn-Knopp scaling. An exact linear
-minimizer supports the classic conditional gradient baseline: shortest
-augmenting paths when the instance is an assignment problem (square,
-all marginal entries equal), a transportation simplex otherwise.
+minimizer, returning a vertex and its certifying duals, supports the
+classic conditional gradient baseline: shortest augmenting paths when
+the instance is an assignment problem (square, all marginal entries
+equal), a transportation simplex otherwise.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -99,7 +101,8 @@ class TransportProblem:
     ``lambda_ent`` weights the negentropy term and must be positive;
     ``lambda_lap`` weights the Laplacian term and may be zero, in which
     case the graph fields may be omitted. ``lambda_s`` / ``lambda_t``
-    are the inner weights of the two Laplacian traces.
+    are the inner weights of the two Laplacian traces, finite and
+    nonnegative so that the regularizer stays convex.
     """
 
     cost: np.ndarray
@@ -124,9 +127,10 @@ class TransportProblem:
         if not 0.0 < self.lambda_ent < math.inf:  # also rejects NaN
             raise ValueError(
                 f"lambda_ent must be finite and positive, got {self.lambda_ent!r}")
-        if not 0.0 <= self.lambda_lap < math.inf:
-            raise ValueError(
-                f"lambda_lap must be finite and nonnegative, got {self.lambda_lap!r}")
+        for name in ("lambda_lap", "lambda_s", "lambda_t"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if self.lambda_lap > 0:
             checked = []
             for name, L, n in (("lap_s", self.lap_s, r), ("lap_t", self.lap_t, c)):
@@ -255,24 +259,14 @@ def ot_cg_split(problem: TransportProblem, warm_start: bool = True) -> SplitObje
     """Classic conditional gradient formulation of the same problem.
 
     Fully linearizes the objective of :func:`ot_split` and calls
-    :func:`transport_lmo` as linear minimization oracle. With
-    ``warm_start`` each call starts from the previous call's basis; on
-    uniform square marginals the oracle solves an assignment problem
-    and returns no basis, so every call runs cold there. Vertices of
-    the polytope carry exact zeros; the split's floored entropy gradient
-    keeps the full gradient finite there.
+    :func:`transport_lmo` as linear minimization oracle, so the split
+    holds no state between calls. ``warm_start`` does nothing; it is
+    kept only for callers that still pass it (ROADMAP item 5 removes
+    it). Vertices of the polytope carry exact zeros; the split's floored
+    entropy gradient keeps the full gradient finite there.
     """
-    state = {"basis": None}
-
-    def lmo(grad_F):
-        plan, basis = transport_lmo(
-            grad_F, problem.mu_s, problem.mu_t,
-            basis=state["basis"] if warm_start else None, return_basis=True)
-        if warm_start:
-            state["basis"] = basis
-        return plan
-
-    return cg_adapter(ot_split(problem), lmo)
+    return cg_adapter(ot_split(problem),
+                      lambda g: transport_lmo(g, problem.mu_s, problem.mu_t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -398,33 +392,23 @@ def _rooted_tree(basis, costs, r, c):
     list, ``u`` then ``v``, with ``u[0] = 0`` and ``u_i + v_j = c_ij`` on
     every basic cell, each node's parent and parent-cell index, its
     depth, the breadth-first order and the adjacency (``{other node:
-    cell index}`` per node). Raises ``ValueError`` when a cell is out of
-    range, a node is reached twice or the walk misses a node, i.e.
-    unless the cells span a tree.
+    cell index}`` per node). ``basis`` must span a tree: the
+    north-west corner and every pivot from it do.
     """
     adjacency = [{} for _ in range(r + c)]
     for t, (i, j) in enumerate(basis):
-        if not (0 <= i < r and 0 <= j < c):
-            raise ValueError(f"basis cell {(i, j)} is out of range for {r}x{c}")
-        if r + j in adjacency[i]:
-            raise ValueError("basis cells repeat or close a cycle")
         adjacency[i][r + j] = adjacency[r + j][i] = t
     pot = [0.0] * (r + c)
-    parent, edge, depth = [0] * (r + c), [-1] * (r + c), [-1] * (r + c)
-    depth[0] = 0
+    parent, edge, depth = [0] * (r + c), [-1] * (r + c), [0] * (r + c)
     order = [0]
     for node in order:
         for other, t in adjacency[node].items():
             if t == edge[node]:
                 continue
-            if depth[other] >= 0:
-                raise ValueError("basis cells repeat or close a cycle")
             parent[other], edge[other], depth[other] = node, t, depth[node] + 1
             i, j = basis[t]
             pot[other] = costs[i][j] - pot[node]
             order.append(other)
-    if len(order) < r + c:
-        raise ValueError("basis cells do not span all rows and columns")
     return pot, parent, edge, depth, order, adjacency
 
 
@@ -438,33 +422,21 @@ def _subtree_flows(mass, parent, edge, order):
     return flows
 
 
-def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t, basis=None,
-                  return_basis: bool = False, return_duals: bool = False):
+def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t):
     """Exact minimizer of ``<gamma, cost_adj>`` over the transport polytope.
 
-    Square instances whose marginal entries are all one float, and that
-    come without a ``basis``, are assignment problems: the polytope is
-    the scaled Birkhoff polytope, whose vertices are scaled permutations.
-    They are solved by shortest augmenting paths (:func:`_assignment`),
-    and the plan is ``mu_s[i]`` at each assigned cell and exactly zero
-    elsewhere. That path has no basis tree, so ``return_basis`` gives
-    ``None`` for it.
-
-    Every other instance goes to the transportation simplex
-    (:func:`_transport_simplex`): a north-west-corner start, or the
-    given ``basis``, and MODI pivoting. ``basis`` warm-starts from a
-    previous optimal basis (the feasible bases depend only on the
-    marginals, so any earlier basis for the same marginals is valid); a
-    basis that is not a spanning tree of ``r + c - 1`` in-range cells,
-    or not feasible for these marginals, raises ``ValueError``.
-    Exceeding the pivot budget raises :class:`DegeneracyError`.
-
-    Both paths certify optimality by dual potentials ``(u, v)``, which
-    ``return_duals`` returns: all reduced costs
-    ``cost_adj - u[:, None] - v`` are ``>= -1e-9`` and ``mu_s @ u +
-    mu_t @ v`` equals the plan's value. A cost that is not finite, or
-    on the assignment path one whose range overflows its arithmetic,
-    raises ``ValueError``.
+    Returns ``(gamma, (u, v))``, a vertex and the dual potentials that
+    certify it: all reduced costs ``cost_adj - u[:, None] - v`` are
+    ``>= -1e-9`` and ``mu_s @ u + mu_t @ v`` equals the plan's value.
+    Square instances whose marginal entries are all one float are
+    assignment problems (the vertices of the scaled Birkhoff polytope
+    are scaled permutations), solved by shortest augmenting paths
+    (:func:`_assignment`): the plan is ``mu_s[i]`` at each assigned cell
+    and exactly zero elsewhere. Every other instance goes to the
+    transportation simplex (:func:`_transport_simplex`), which raises
+    :class:`DegeneracyError` past its pivot budget. A cost that is not
+    finite, or large enough to overflow the potentials, raises
+    ``ValueError``.
     """
     cost = np.asarray(cost_adj, dtype=np.float64)
     a = as_histogram(mu_s)
@@ -472,22 +444,27 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t, basis=None,
     if cost.shape != (a.size, b.size):
         raise ValueError("cost shape does not match the marginals")
     r, c = cost.shape
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost must be finite")
+    # Both paths stay finite while 8 (r + c) M does, M = max |cost|.
+    # With R = max cost - min cost <= 2 M: a simplex potential sums at
+    # most r + c - 1 costs of alternating sign along its tree path from
+    # u[0] = 0, so a reduced cost (cost - u) - v is within 2 (r + c) M.
+    # Assignment: 0 <= v <= R after the reductions; a free row (u its row
+    # minimum) reaches a free column (v unchanged) within R, so each
+    # augmentation moves each dual by at most R, and u + v <= cost on a
+    # free column caps u at max cost when one starts. So u stays in
+    # [min cost, max cost + R], v in [-2 R, R], and a scan entry
+    # cost + (d - u) - v or a reduced cost within 8 M. The factor of 2
+    # or more left covers rounding. NaN fails the test too.
+    limit = sys.float_info.max / (8.0 * (r + c))
+    if not np.abs(cost).max() <= limit:
+        raise ValueError(f"cost must be finite and within {limit:.3e}, or its range overflows")
 
-    if basis is None and r == c and np.all(a == a[0]) and np.all(b == a[0]):
+    if r == c and np.all(a == a[0]) and np.all(b == a[0]):
         cols, u, v = _assignment(cost)
         gamma = np.zeros((r, c))
         gamma[np.arange(r), cols] = a
-    else:
-        gamma, basis, u, v = _transport_simplex(cost, a, b, basis)
-
-    out = (gamma,)
-    if return_basis:
-        out = out + (basis,)
-    if return_duals:
-        out = out + ((u, v),)
-    return out[0] if len(out) == 1 else out
+        return gamma, (u, v)
+    return _transport_simplex(cost, a, b)
 
 
 def _assignment(cost):
@@ -508,9 +485,9 @@ def _assignment(cost):
 
     Returns ``(cols, u, v)``: row ``i`` goes to column ``cols[i]``,
     ``u_i + v_j <= cost_ij`` up to rounding, with equality on the
-    assigned cells. Raises ``ValueError`` when a distance or a dual
-    leaves the finite floats, which a cost range near the float64
-    limit can cause.
+    assigned cells. The range check in :func:`transport_lmo` keeps
+    every distance and dual finite, so each search reaches a free
+    column within ``n`` steps.
     """
     n = cost.shape[0]
     u = cost.min(axis=1)
@@ -544,9 +521,6 @@ def _assignment(cost):
             i = row4col[j]
             if i < 0:
                 break
-        # finite arithmetic reaches a free column within n steps
-        if i >= 0 or not math.isfinite(d):
-            raise ValueError("cost range overflows the assignment's arithmetic")
         # duals: u + v stays <= cost, with equality on the tree's cells
         shift = d - np.array(reached)
         u[rows[0]] += d
@@ -557,24 +531,22 @@ def _assignment(cost):
             i = rows[int(scans[:, j].argmin())]
             row4col[j] = i
             col4row[i], j = j, col4row[i]
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValueError("cost range overflows the assignment's arithmetic")
     return np.array(col4row), u, v
 
 
-def _transport_simplex(cost, a, b, basis):
+def _transport_simplex(cost, a, b):
     """Transportation simplex behind :func:`transport_lmo`.
 
-    MODI pivoting from a north-west-corner start, or from ``basis``. The
-    basis tree is rooted once, giving the duals and the basic flows as
-    subtree sums, and kept across pivots: each pivot climbs from both
+    MODI pivoting from a north-west-corner start. The basis tree is
+    rooted once, giving the duals and the basic flows as subtree sums,
+    and kept across pivots: each pivot climbs from both
     ends of the entering cell to their common ancestor for the cycle,
     shifts its flows and re-hangs the subtree the leaving cell cuts off,
     recomputing only that subtree's duals. Marginals are perturbed by
     ``i * 1e-12`` (then re-normalized) against degenerate pivoting; the
     returned vertex is solved on the final tree against the original
     marginals, so its row and column sums are exact up to summation
-    error. Returns ``(gamma, basis, u, v)`` with all reduced costs
+    error. Returns ``(gamma, (u, v))`` with all reduced costs
     ``>= -1e-9``.
     """
     r, c = cost.shape
@@ -585,34 +557,26 @@ def _transport_simplex(cost, a, b, basis):
     bp = bp / bp.sum()
     perturbed = np.concatenate([ap, bp]).tolist()
 
-    if basis is None:
-        arem = ap.copy()
-        brem = bp.copy()
-        basis = []
-        i = j = 0
-        while True:
-            x = min(arem[i], brem[j])
-            basis.append((i, j))
-            arem[i] -= x
-            brem[j] -= x
-            if i == r - 1 and j == c - 1:
-                break
-            if arem[i] <= brem[j] and i < r - 1:
-                i += 1
-            elif j < c - 1:
-                j += 1
-            else:
-                i += 1
-    else:
-        basis = list(basis)
-        if len(basis) != r + c - 1:
-            raise ValueError("warm-start basis has the wrong size")
+    rem = list(perturbed)
+    basis = []
+    i = j = 0
+    while True:
+        x = min(rem[i], rem[r + j])
+        basis.append((i, j))
+        rem[i] -= x
+        rem[r + j] -= x
+        if i == r - 1 and j == c - 1:
+            break
+        if rem[i] <= rem[r + j] and i < r - 1:
+            i += 1
+        elif j < c - 1:
+            j += 1
+        else:
+            i += 1
 
     costs = cost.tolist()
     pot, parent, edge, depth, order, adjacency = _rooted_tree(basis, costs, r, c)
     flows = _subtree_flows(perturbed, parent, edge, order)
-    if min(flows) < -1e-9:
-        raise ValueError("warm-start basis is not feasible for these marginals")
     duals = np.array(pot)
     u, v = duals[:r], duals[r:]
     max_pivots = 4 * r * c + 1000
@@ -669,7 +633,7 @@ def _transport_simplex(cost, a, b, basis):
     gamma = np.zeros((r, c))
     rows, cols = zip(*basis)
     gamma[rows, cols] = np.clip(final, 0.0, None)
-    return gamma, list(basis), u, v
+    return gamma, (u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_03_splitting_certificate_dominates_full_linearization():
     a, b = _hist(rng, 20), _hist(rng, 20)
     problem = tr.TransportProblem(cost, a, b, lambda_ent=0.05)
 
-    cg = tr.ot_cg_split(problem, warm_start=True)
+    cg = tr.ot_cg_split(problem)
     spied, pairs = _spy(cg)
     solve(spied, np.outer(a, b),
           SolverConfig(step_rule="armijo", gap_tol=0.0, max_iter=25))
@@ -320,7 +320,7 @@ def test_07_transport_lmo_exactness():
     for _ in range(100):
         cost = rng.random((3, 3))
         a, b = _hist(rng, 3), _hist(rng, 3)
-        gamma = tr.transport_lmo(cost, a, b)
+        gamma, _ = tr.transport_lmo(cost, a, b)
         _, best = lmo_by_enumeration(cost, a, b)
         worst_value = max(worst_value,
                           abs(float(np.vdot(gamma, cost)) - best))
@@ -330,7 +330,7 @@ def test_07_transport_lmo_exactness():
     for _ in range(100):
         cost = rng.random((20, 20))
         a, b = _hist(rng, 20), _hist(rng, 20)
-        gamma, (u, v) = tr.transport_lmo(cost, a, b, return_duals=True)
+        gamma, (u, v) = tr.transport_lmo(cost, a, b)
         min_reduced = min(min_reduced,
                           float((cost - u[:, None] - v[None, :]).min()))
     assert min_reduced >= -1e-9
@@ -416,7 +416,7 @@ def test_10_splitting_beats_full_linearization_on_transport():
         r_cgs = solve(tr.ot_split(problem, sinkhorn_tol=1e-5,
                                   sinkhorn_max_iter=50000, warm_start=True),
                       x0, cfg)
-        r_cg = solve(tr.ot_cg_split(problem, warm_start=True), x0, cfg)
+        r_cg = solve(tr.ot_cg_split(problem), x0, cfg)
         f_cgs = r_cgs.trace[-1].objective
         f_cg = r_cg.trace[-1].objective
         results.append((seed, f_cgs, f_cg))

@@ -80,6 +80,23 @@ class TestOtRuns:
         rows = _read_trace(tmp_path / "trace.csv")
         assert all(r["marginal_violation"] != "" for r in rows)
 
+    def test_cg_solver_runs_the_simplex_on_non_square_data(self, tmp_path, monkeypatch):
+        # ns != nt keeps the LMO off the assignment path
+        import gcgs.transport
+        rooted = []
+        monkeypatch.setattr(gcgs.transport, "_rooted_tree",
+                            lambda *args, _fn=gcgs.transport._rooted_tree:
+                            rooted.append(1) or _fn(*args))
+        assert main(_ot_args(tmp_path, "--solver", "cg", "--nt", "9",
+                             "--k-neighbors", "4")) == 0
+        assert rooted
+        rows = _read_trace(tmp_path / "trace.csv")
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"]["nt"] == 9
+        assert [int(r["iter"]) for r in rows] == list(range(summary["iterations"] + 1))
+        # iterates mix the Sinkhorn start with exact vertices
+        assert float(rows[-1]["marginal_violation"]) <= summary["config"]["sinkhorn_tol"]
+
     def test_rejects_enet_only_solvers(self, tmp_path):
         # by flag: argparse restricts the choices itself
         with pytest.raises(SystemExit) as info:

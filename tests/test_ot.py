@@ -9,6 +9,7 @@ for medium instances.
 """
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -46,7 +47,7 @@ from gcgs.transport import (
 )
 from test_numerics import finite_diff_grad
 from test_solver import (assert_chord_steps_agree,
-                         assert_cold_armijo_gives_the_same_run)
+                         assert_cold_armijo_gives_the_same_run, trace_bits)
 
 
 def entropic_plan_2x2(cost, a, b, lam):
@@ -431,15 +432,15 @@ class TestTransportLmo:
         cost = rng.random((3, 3))
         a = _hist(rng, 3)
         b = _hist(rng, 3)
-        gamma = transport_lmo(cost, a, b)
+        gamma, _ = transport_lmo(cost, a, b)
         _, best = lmo_by_enumeration(cost, a, b)
         assert abs(float(np.vdot(gamma, cost)) - best) <= 1e-10
         assert gamma.min() >= 0.0
         assert marginal_violation(gamma, a, b) <= 1e-12
 
     def test_identity_cost_uniform_marginals(self):
-        gamma = transport_lmo(1.0 - np.eye(3), uniform_histogram(3),
-                              uniform_histogram(3))
+        gamma, _ = transport_lmo(1.0 - np.eye(3), uniform_histogram(3),
+                                 uniform_histogram(3))
         np.testing.assert_allclose(gamma, np.eye(3) / 3.0, atol=1e-12)
 
     def test_matches_linprog_medium(self):
@@ -447,7 +448,7 @@ class TestTransportLmo:
         cost = rng.random((6, 7))
         a = _hist(rng, 6)
         b = _hist(rng, 7)
-        gamma = transport_lmo(cost, a, b)
+        gamma, _ = transport_lmo(cost, a, b)
         _, lp_value = lmo_by_linprog(cost, a, b)
         assert abs(float(np.vdot(gamma, cost)) - lp_value) <= 1e-9
         assert marginal_violation(gamma, a, b) <= 1e-12
@@ -457,7 +458,7 @@ class TestTransportLmo:
         cost = rng.random((8, 11))
         a = _hist(rng, 8)
         b = _hist(rng, 11)
-        gamma, (u, v) = transport_lmo(cost, a, b, return_duals=True)
+        gamma, (u, v) = transport_lmo(cost, a, b)
         reduced = cost - u[:, None] - v[None, :]
         assert reduced.min() >= -1e-9
         # strong duality and complementary slackness
@@ -466,20 +467,6 @@ class TestTransportLmo:
         assert abs(primal - dual) <= 1e-9
         assert float(np.vdot(gamma, reduced)) <= 1e-9
 
-    def test_warm_basis_matches_cold_solve(self):
-        rng = make_rng(41)
-        a = _hist(rng, 7)
-        b = _hist(rng, 9)
-        cost1 = rng.random((7, 9))
-        cost2 = rng.random((7, 9))
-        _, basis = transport_lmo(cost1, a, b, return_basis=True)
-        warm = transport_lmo(cost2, a, b, basis=basis)
-        cold = transport_lmo(cost2, a, b)
-        assert abs(float(np.vdot(warm, cost2))
-                   - float(np.vdot(cold, cost2))) <= 1e-12
-        assert warm.min() >= 0.0
-        assert marginal_violation(warm, a, b) <= 1e-12
-
     def test_marginal_lengths_must_match_cost(self):
         a = uniform_histogram(3)
         with pytest.raises(ValueError, match="cost shape"):
@@ -487,34 +474,9 @@ class TestTransportLmo:
         with pytest.raises(ValueError, match="cost shape"):
             transport_lmo(np.zeros((3, 3)), uniform_histogram(2), a)
 
-    def test_warm_basis_wrong_size_raises(self):
-        a = uniform_histogram(3)
-        with pytest.raises(ValueError, match="basis"):
-            transport_lmo(np.zeros((3, 3)), a, a, basis=[(0, 0), (1, 1)])
-
-    @pytest.mark.parametrize("basis, message", [
-        ([(0, 0)] * 5, "repeat"),
-        ([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)], "cycle"),
-        ([(0, 0), (0, 1), (1, 1), (1, 2), (5, 2)], "out of range"),
-        ("from 3x4", "out of range"),
-        ([(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)], "span"),
-        ([(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)], "not feasible"),
-    ], ids=["repeated", "cycle", "far-cell", "transposed-shape", "split",
-            "infeasible"])
-    def test_malformed_warm_basis_raises(self, basis, message):
-        rng = make_rng(47)
-        if basis == "from 3x4":
-            _, basis = transport_lmo(rng.random((3, 4)), uniform_histogram(3),
-                                     uniform_histogram(4), return_basis=True)
-            cost, a, b = rng.random((4, 3)), uniform_histogram(4), uniform_histogram(3)
-        else:
-            cost, a, b = rng.random((3, 3)), uniform_histogram(3), uniform_histogram(3)
-        with pytest.raises(ValueError, match=message):
-            transport_lmo(cost, a, b, basis=basis)
-
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(data=st.data())
-    def test_property_vertex_certified_and_warm_start_exact(self, data):
+    def test_property_vertex_certified(self, data):
         """Small integer costs and zero-mass histograms: ties, degeneracy."""
         r, c = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
         weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
@@ -529,9 +491,8 @@ class TestTransportLmo:
                              ).astype(np.float64)
 
         a, b = hist(r), hist(c)
-        cost, other = integer_cost(), integer_cost()
-        gamma, basis, (u, v) = transport_lmo(cost, a, b, return_basis=True,
-                                             return_duals=True)
+        cost = integer_cost()
+        gamma, (u, v) = transport_lmo(cost, a, b)
         assert gamma.min() >= 0.0
         assert marginal_violation(gamma, a, b) <= 1e-12
         assert np.count_nonzero(gamma) <= r + c - 1
@@ -540,18 +501,14 @@ class TestTransportLmo:
         primal = float(np.vdot(gamma, cost))
         assert abs(primal - float(a @ u + b @ v)) <= 1e-9
         assert float(np.vdot(gamma, reduced)) <= 1e-9
-        # a warm start from another cost's optimal basis reaches the same value
-        _, other_basis = transport_lmo(other, a, b, return_basis=True)
-        warm = transport_lmo(cost, a, b, basis=other_basis)
-        assert abs(float(np.vdot(warm, cost)) - primal) <= 1e-12
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(data=st.data())
     def test_property_matches_rebuild_reference(self, data):
-        """Cold and warm calls against the rebuild-every-pivot simplex.
+        """Against the simplex that rebuilds its tree every pivot.
 
         On exact flow ties the kept tree may pick another leaving cell
-        than the reference, so bases are not compared: values are, and
+        than the reference, so plans are not compared: values are, and
         the duals must certify optimality on their own.
         """
         r, c = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
@@ -570,26 +527,20 @@ class TestTransportLmo:
                                         elements=st.floats(0.0, 1.0)))
 
         a, b = hist(r), hist(c)
-        cost, other = cost_matrix(), cost_matrix()
-        _, other_basis = transport_lmo(other, a, b, return_basis=True)
+        cost = cost_matrix()
         lp_value = float(np.vdot(transport_lmo_rebuild_reference(cost, a, b), cost))
-        for start in (None, other_basis):
-            gamma, basis, (u, v) = transport_lmo(
-                cost, a, b, basis=start, return_basis=True, return_duals=True)
-            primal = float(np.vdot(gamma, cost))
-            assert abs(primal - lp_value) <= 1e-12
-            assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
-            assert abs(primal - float(a @ u + b @ v)) <= 1e-9
-            # an optimal basis needs no pivot and re-solves to the same plan
-            np.testing.assert_array_equal(
-                transport_lmo(cost, a, b, basis=basis), gamma)
+        gamma, (u, v) = transport_lmo(cost, a, b)
+        primal = float(np.vdot(gamma, cost))
+        assert abs(primal - lp_value) <= 1e-12
+        assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
+        assert abs(primal - float(a @ u + b @ v)) <= 1e-9
 
     def test_degenerate_uniform_marginals(self):
         # uniform-to-uniform with a Monge cost: many ties, still exact
         x = np.linspace(0.0, 1.0, 6)[:, None]
         cost = squared_distances(x, x + 0.37)
         a = uniform_histogram(6)
-        gamma = transport_lmo(cost, a, a)
+        gamma, _ = transport_lmo(cost, a, a)
         _, lp_value = lmo_by_linprog(cost, a, a)
         assert abs(float(np.vdot(gamma, cost)) - lp_value) <= 1e-9
 
@@ -597,9 +548,9 @@ class TestTransportLmo:
         rng = make_rng(43)
         b = _hist(rng, 5)
         cost = rng.random((1, 5))
-        gamma = transport_lmo(cost, uniform_histogram(1), b)
+        gamma, _ = transport_lmo(cost, uniform_histogram(1), b)
         np.testing.assert_allclose(gamma, b[None, :], atol=1e-12)
-        gamma_t = transport_lmo(cost.T, b, uniform_histogram(1))
+        gamma_t, _ = transport_lmo(cost.T, b, uniform_histogram(1))
         np.testing.assert_allclose(gamma_t, b[:, None], atol=1e-12)
 
     def test_nonfinite_cost_raises(self):
@@ -607,6 +558,31 @@ class TestTransportLmo:
         cost = np.array([[0.0, np.inf], [1.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
             transport_lmo(cost, a, a)
+
+    @pytest.mark.parametrize("shape, equal", [
+        ((5, 5), True), ((5, 5), False), ((4, 6), False),
+    ], ids=["assignment", "simplex", "non-square"])
+    def test_calls_are_stateless(self, shape, equal):
+        # one return shape on every path; an earlier call on other data
+        # changes neither the result nor the inputs
+        rng = make_rng(67)
+        r, c = shape
+        a, b = ((uniform_histogram(r), uniform_histogram(c)) if equal
+                else (_hist(rng, r), _hist(rng, c)))
+        cost, other = rng.random(shape), rng.random(shape)
+        inputs = [x.copy() for x in (cost, a, b)]
+        first = transport_lmo(cost, a, b)
+        transport_lmo(other, a, b)
+        again = transport_lmo(cost, a, b)
+        for out in (first, again):
+            gamma, duals = out
+            assert gamma.shape == shape and len(duals) == 2
+            assert duals[0].shape == (r,) and duals[1].shape == (c,)
+        assert first[0].tobytes() == again[0].tobytes()
+        for u, u_again in zip(first[1], again[1]):
+            assert u.tobytes() == u_again.tobytes()
+        for x, x_before in zip((cost, a, b), inputs):
+            np.testing.assert_array_equal(x, x_before)
 
 
 class TestAssignmentPath:
@@ -633,9 +609,7 @@ class TestAssignmentPath:
         else:
             cost = data.draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)))
         a = uniform_histogram(n)
-        gamma, basis, (u, v) = transport_lmo(cost, a, a, return_basis=True,
-                                             return_duals=True)
-        assert basis is None
+        gamma, (u, v) = transport_lmo(cost, a, a)
         lp_value = float(np.vdot(transport_lmo_rebuild_reference(cost, a, a), cost))
         assert abs(float(np.vdot(gamma, cost)) - lp_value) <= 1e-12
         self.assert_certified(cost, gamma, u, v)
@@ -648,11 +622,11 @@ class TestAssignmentPath:
         a = problem.mu_s
         for x in (x0, run.x_final):
             grad = split.f_grad(x)
-            gamma, (u, v) = transport_lmo(grad, a, a, return_duals=True)
+            gamma, (u, v) = transport_lmo(grad, a, a)
             assert gamma.tobytes() == transport_lmo_rebuild_reference(grad, a, a).tobytes()
             self.assert_certified(grad, gamma, u, v)
 
-    def test_a_basis_or_unequal_weights_take_the_simplex(self, monkeypatch):
+    def test_unequal_weights_or_shapes_take_the_simplex(self, monkeypatch):
         rooted = []
         monkeypatch.setattr(gcgs.transport, "_rooted_tree",
                             lambda *args, _fn=gcgs.transport._rooted_tree:
@@ -662,34 +636,69 @@ class TestAssignmentPath:
         cost, a = rng.random((n, n)), uniform_histogram(n)
         transport_lmo(cost, a, a)
         assert not rooted
-        # a staircase spanning tree is a feasible basis for equal marginals
-        staircase = [(i, i) for i in range(n)] + [(i, i + 1) for i in range(n - 1)]
-        gamma, basis, (u, v) = transport_lmo(cost, a, a, basis=staircase,
-                                             return_basis=True, return_duals=True)
-        assert rooted and len(basis) == 2 * n - 1
-        np.testing.assert_array_equal(gamma, transport_lmo_rebuild_reference(cost, a, a))
-        assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
-        with pytest.raises(ValueError, match="wrong size"):
-            transport_lmo(cost, a, a, basis=staircase[:-1])
-        rooted.clear()
-        _, basis = transport_lmo(cost, _hist(rng, n), a, return_basis=True)
-        assert rooted and len(basis) == 2 * n - 1
+        for cost, mu_s, mu_t in ((cost, _hist(rng, n), a),
+                                 (rng.random((n, n + 1)), a, uniform_histogram(n + 1))):
+            gamma, (u, v) = transport_lmo(cost, mu_s, mu_t)
+            assert rooted
+            rooted.clear()
+            np.testing.assert_array_equal(
+                gamma, transport_lmo_rebuild_reference(cost, mu_s, mu_t))
+            assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
 
-    def test_overflowing_cost_range_raises(self):
-        # finite costs whose differences overflow float64: the search
-        # meets NaN distances and must stop instead of cycling
+    @pytest.mark.parametrize("mu_s, mu_t", [
+        (uniform_histogram(3), uniform_histogram(3)),
+        ([0.2, 0.3, 0.5], [0.2, 0.3, 0.5]),
+        (uniform_histogram(3), uniform_histogram(4)),
+    ], ids=["assignment", "simplex", "non-square"])
+    def test_overflowing_cost_range_raises(self, mu_s, mu_t):
+        # finite costs whose differences overflow float64: the range
+        # check must raise before any arithmetic overflows
         cost = np.array([[1.7e308, -1e308, 1e308],
                          [-1e308, -1.7e308, -1e308],
                          [0.0, -1.7e308, 1e308]])
-        a = uniform_histogram(3)
-        with np.errstate(over="ignore", invalid="ignore"):
+        cost = np.hstack([cost, np.zeros((3, len(mu_t) - 3))])
+        with np.errstate(all="raise"):
             with pytest.raises(ValueError, match="overflows"):
-                transport_lmo(cost, a, a)
+                transport_lmo(cost, mu_s, mu_t)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_property_costs_at_the_range_limit_stay_exact(self, data):
+        """Both paths at the largest allowed magnitude, scaled by 2^k.
+
+        Integer costs times a power of two keep every sum exact, so the
+        scaled run makes the comparisons of the unscaled one: the same
+        plan bytes, and duals scaled by the same power.
+        """
+        r, c = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+
+        def hist(n):
+            w = data.draw(hnp.arrays(np.float64, n, elements=st.floats(1e-3, 1.0)))
+            return w / w.sum()
+
+        if data.draw(st.booleans()):
+            c = r
+            a = b = uniform_histogram(r)  # the assignment path
+        else:
+            a, b = hist(r), hist(c)
+        cost = data.draw(hnp.arrays(np.int64, (r, c), elements=st.integers(-3, 3))
+                         ).astype(np.float64)
+        m = max(np.abs(cost).max(), 1.0)
+        # the largest power of two with scale * m within the limit
+        scale = 2.0 ** (math.frexp(sys.float_info.max / (8 * (r + c) * m))[1] - 1)
+        with np.errstate(all="raise"):
+            big, (u_big, v_big) = transport_lmo(scale * cost, a, b)
+        gamma, (u, v) = transport_lmo(cost, a, b)
+        assert big.tobytes() == gamma.tobytes()
+        np.testing.assert_array_equal(u_big, scale * u)
+        np.testing.assert_array_equal(v_big, scale * v)
+        if np.abs(cost).max() > 0:
+            with pytest.raises(ValueError, match="overflows"):
+                transport_lmo(4.0 * scale * cost, a, b)
 
     def test_single_cell(self):
-        gamma, basis, (u, v) = transport_lmo(np.array([[-2.5]]), [1.0], [1.0],
-                                             return_basis=True, return_duals=True)
-        assert gamma.tolist() == [[1.0]] and basis is None
+        gamma, (u, v) = transport_lmo(np.array([[-2.5]]), [1.0], [1.0])
+        assert gamma.tolist() == [[1.0]]
         assert u[0] + v[0] == -2.5
 
 
@@ -826,6 +835,18 @@ class TestProblemValidation:
                 TransportProblem(np.zeros((2, 2)), uniform_histogram(2),
                                  uniform_histogram(2), lambda_ent=0.5,
                                  lambda_lap=lam)
+
+    @pytest.mark.parametrize("name", ["lambda_s", "lambda_t"])
+    def test_invalid_inner_laplacian_weights(self, name):
+        # a NaN weight makes laplacian_reg NaN and a negative one makes
+        # the regularizer nonconvex, which the exact chord step assumes away
+        a = uniform_histogram(2)
+        for lam in (-3.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                TransportProblem(np.zeros((2, 2)), a, a, lambda_ent=0.5,
+                                 **{name: lam})
+        assert getattr(TransportProblem(np.zeros((2, 2)), a, a, lambda_ent=0.5,
+                                        **{name: 0.0}), name) == 0.0
 
     def test_laplacian_field_requirements(self):
         a = uniform_histogram(3)
@@ -1064,7 +1085,7 @@ class TestSplitObjectives:
 
     @pytest.mark.parametrize("make_split", [
         lambda p: ot_split(p, sinkhorn_tol=1e-6, warm_start=True),
-        lambda p: ot_cg_split(p, warm_start=True),
+        ot_cg_split,
     ], ids=["cgs", "cg"])
     def test_armijo_warm_start_keeps_the_cold_trace(self, monkeypatch, make_split):
         problem = self._cluster_problem(n=20, lambda_lap=10.0)
@@ -1093,7 +1114,7 @@ class TestSplitObjectives:
         # gradient is undefined
         problem = self._cluster_problem(seed=0, n=20)
         mu_s, mu_t = problem.mu_s, problem.mu_t
-        vertex = transport_lmo(problem.cost, mu_s, mu_t)
+        vertex, _ = transport_lmo(problem.cost, mu_s, mu_t)
         assert vertex.min() == 0.0
         result = solve(ot_split(problem), vertex,
                        SolverConfig(step_rule=rule, gap_tol=0.0, max_iter=5))
@@ -1121,11 +1142,23 @@ class TestSplitObjectives:
                             counted("rooted", transport._rooted_tree))
         problem = replace(self._cluster_problem(seed=0, n=30),
                           mu_s=_hist(make_rng(61), 30))
-        solve(ot_cg_split(problem, warm_start=True),
+        solve(ot_cg_split(problem),
               np.outer(problem.mu_s, problem.mu_t),
               SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=10))
         assert calls["lmo"] >= 10
         assert 0 < calls["rooted"] <= 2 * calls["lmo"]
+
+    @pytest.mark.parametrize("equal", [True, False], ids=["assignment", "simplex"])
+    def test_cg_split_ignores_warm_start(self, equal):
+        # the keyword is kept for old callers and must change nothing
+        problem = self._cluster_problem(seed=0, n=20)
+        if not equal:
+            problem = replace(problem, mu_s=_hist(make_rng(71), 20))
+        x0 = np.outer(problem.mu_s, problem.mu_t)
+        cfg = SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=8)
+        warm, cold = (solve(ot_cg_split(problem, warm_start=w), x0, cfg)
+                      for w in (True, False))
+        assert trace_bits(warm) == trace_bits(cold)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_chord_steps_agree_with_golden_section(self, warm):
@@ -1136,8 +1169,8 @@ class TestSplitObjectives:
         split = ot_split(problem, sinkhorn_tol=1e-5, sinkhorn_max_iter=50000,
                          warm_start=warm)
         assert_chord_steps_agree(split, x0, max_iter=10)
-        assert_chord_steps_agree(ot_cg_split(problem, warm_start=warm), x0,
-                                 max_iter=10)
+        if not warm:  # the vertex oracle has no warm start
+            assert_chord_steps_agree(ot_cg_split(problem), x0, max_iter=10)
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(data=st.data())
@@ -1170,7 +1203,7 @@ class TestSplitObjectives:
                             data.draw(st.floats(0.05, 1.0)), tol=1e-9)
         except ConvergenceError:
             assume(False)
-        vertex = transport_lmo(matrix((r, c), 0.0, 1.0), a, b)
+        vertex, _ = transport_lmo(matrix((r, c), 0.0, 1.0), a, b)
         x, s = (plan, vertex) if data.draw(st.booleans()) else (vertex, plan)
         d = s - x
         assume(np.any(d))
@@ -1207,7 +1240,7 @@ class TestSplitObjectives:
         # must stay finite there
         problem = self._cluster_problem()
         split = ot_cg_split(problem)
-        vertex = transport_lmo(problem.cost, problem.mu_s, problem.mu_t)
+        vertex, _ = transport_lmo(problem.cost, problem.mu_s, problem.mu_t)
         assert vertex.min() == 0.0
         assert np.all(np.isfinite(split.f_grad(vertex)))
         assert np.isfinite(split.value(vertex))

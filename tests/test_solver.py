@@ -338,19 +338,6 @@ class TestSolve:
         res = solve(obj, np.zeros(2), SolverConfig(max_iter=200, gap_tol=1e-10))
         assert all(r.surrogate_gap >= 0.0 for r in res.trace)
 
-    def test_record_trace_off(self):
-        obj = ridge_on_ball()
-        cfg = SolverConfig(max_iter=20)
-        full = solve(obj, np.zeros(2), cfg)
-        res = solve(obj, np.zeros(2), replace(cfg, record_trace=False))
-        # only the final record is kept, so the outcome stays readable
-        assert len(res.trace) == 1 and len(full.trace) > 1
-        last, kept = full.trace[-1], res.trace[0]
-        assert (kept.k, kept.objective, kept.surrogate_gap, kept.alpha) == (
-            last.k, last.objective, last.surrogate_gap, last.alpha)
-        assert res.termination == full.termination
-        np.testing.assert_array_equal(res.x_final, full.x_final)
-
     def test_max_iter_termination(self):
         obj = interval_quadratic()
         res = solve(obj, np.array([1.0]), SolverConfig(step_rule="fixed",
