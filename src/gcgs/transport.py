@@ -317,10 +317,9 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
     cost_adj = np.asarray(cost_adj, dtype=np.float64)
     if cost_adj.shape != (a.size, b.size):
         raise ValueError("cost shape does not match the marginals")
-    if lambda_ent <= 0:
-        raise ValueError("lambda_ent must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    for name, value in (("lambda_ent", lambda_ent), ("tol", tol)):
+        if not 0.0 < value < math.inf:  # also rejects NaN
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     # zero-mass rows and columns get no plan mass: scale on the support,
     # a view when there are none (fancy indexing copies)
     rows, cols = a > 0, b > 0
@@ -385,31 +384,33 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
 # Exact linear minimization: transportation simplex
 # ---------------------------------------------------------------------------
 
-def _rooted_tree(basis, costs, r, c):
-    """Root the basis tree at supply node 0 (demand ``j`` is node ``r + j``).
+def _hang(top, tree):
+    """Hang every node below ``top`` from it, breadth first.
 
-    ``costs`` holds the cost rows as lists. Returns the potentials as one
-    list, ``u`` then ``v``, with ``u[0] = 0`` and ``u_i + v_j = c_ij`` on
-    every basic cell, each node's parent and parent-cell index, its
-    depth, the breadth-first order and the adjacency (``{other node:
-    cell index}`` per node). ``basis`` must span a tree: the
-    north-west corner and every pivot from it do.
+    ``tree`` is ``(basis, costs, adjacency, parent, edge, depth, pot)``:
+    the basic cells, the cost rows as lists, ``{other node: cell index}``
+    per node (demand ``j`` is node ``r + j``), and per node its parent,
+    parent-cell index, depth and dual (``u`` then ``v``), all set at
+    ``top``. The walk sets them below it, so that ``u_i + v_j = c_ij``
+    on every basic cell, and returns the visited nodes, ``top`` first.
+    A walk from the root (node 0, cell -1, dual 0) first rebuilds the
+    adjacency in basis order, so it depends on the basis alone.
     """
-    adjacency = [{} for _ in range(r + c)]
-    for t, (i, j) in enumerate(basis):
-        adjacency[i][r + j] = adjacency[r + j][i] = t
-    pot = [0.0] * (r + c)
-    parent, edge, depth = [0] * (r + c), [-1] * (r + c), [0] * (r + c)
-    order = [0]
+    basis, costs, adjacency, parent, edge, depth, pot = tree
+    if top == 0:
+        r = len(costs)
+        adjacency[:] = [{} for _ in pot]
+        for t, (i, j) in enumerate(basis):
+            adjacency[i][r + j] = adjacency[r + j][i] = t
+    order = [top]
     for node in order:
         for other, t in adjacency[node].items():
-            if t == edge[node]:
-                continue
-            parent[other], edge[other], depth[other] = node, t, depth[node] + 1
-            i, j = basis[t]
-            pot[other] = costs[i][j] - pot[node]
-            order.append(other)
-    return pot, parent, edge, depth, order, adjacency
+            if t != edge[node]:
+                parent[other], edge[other], depth[other] = node, t, depth[node] + 1
+                i, j = basis[t]
+                pot[other] = costs[i][j] - pot[node]
+                order.append(other)
+    return order
 
 
 def _subtree_flows(mass, parent, edge, order):
@@ -427,7 +428,8 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t):
 
     Returns ``(gamma, (u, v))``, a vertex and the dual potentials that
     certify it: all reduced costs ``cost_adj - u[:, None] - v`` are
-    ``>= -1e-9`` and ``mu_s @ u + mu_t @ v`` equals the plan's value.
+    ``>= -1e-9 max(1, max|cost_adj|)`` and ``mu_s @ u + mu_t @ v``
+    equals the plan's value.
     Square instances whose marginal entries are all one float are
     assignment problems (the vertices of the scaled Birkhoff polytope
     are scaled permutations), solved by shortest augmenting paths
@@ -454,7 +456,10 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t):
     # free column caps u at max cost when one starts. So u stays in
     # [min cost, max cost + R], v in [-2 R, R], and a scan entry
     # cost + (d - u) - v or a reduced cost within 8 M. The factor of 2
-    # or more left covers rounding. NaN fails the test too.
+    # or more left covers rounding. NaN fails the test too. Rounding its
+    # at most 2 (r + c) additions leaves a simplex reduced cost about
+    # 2 (r + c) eps M off, so the simplex stops once none is below
+    # -max(1e-11, 2 (r + c) eps M) and large costs do not pivot on noise.
     limit = sys.float_info.max / (8.0 * (r + c))
     if not np.abs(cost).max() <= limit:
         raise ValueError(f"cost must be finite and within {limit:.3e}, or its range overflows")
@@ -537,17 +542,17 @@ def _assignment(cost):
 def _transport_simplex(cost, a, b):
     """Transportation simplex behind :func:`transport_lmo`.
 
-    MODI pivoting from a north-west-corner start. The basis tree is
-    rooted once, giving the duals and the basic flows as subtree sums,
-    and kept across pivots: each pivot climbs from both
-    ends of the entering cell to their common ancestor for the cycle,
-    shifts its flows and re-hangs the subtree the leaving cell cuts off,
-    recomputing only that subtree's duals. Marginals are perturbed by
+    MODI pivoting from a north-west-corner start. One walk
+    (:func:`_hang`) roots the basis tree, giving the duals and the basic
+    flows as subtree sums. The tree is kept across pivots: each pivot
+    climbs from both ends of the entering cell to their common ancestor
+    for the cycle, shifts its flows and re-hangs the subtree the leaving
+    cell cuts off with the same walk. Marginals are perturbed by
     ``i * 1e-12`` (then re-normalized) against degenerate pivoting; the
     returned vertex is solved on the final tree against the original
     marginals, so its row and column sums are exact up to summation
-    error. Returns ``(gamma, (u, v))`` with all reduced costs
-    ``>= -1e-9``.
+    error. Returns ``(gamma, (u, v))``, certified as in
+    :func:`transport_lmo`.
     """
     r, c = cost.shape
     eps0 = 1e-12
@@ -574,18 +579,21 @@ def _transport_simplex(cost, a, b):
         else:
             i += 1
 
-    costs = cost.tolist()
-    pot, parent, edge, depth, order, adjacency = _rooted_tree(basis, costs, r, c)
-    flows = _subtree_flows(perturbed, parent, edge, order)
+    n, costs, adjacency = r + c, cost.tolist(), []
+    parent, edge, depth, pot = [0] * n, [-1] * n, [0] * n, [0.0] * n
+    tree = (basis, costs, adjacency, parent, edge, depth, pot)
+    flows = _subtree_flows(perturbed, parent, edge, _hang(0, tree))
     duals = np.array(pot)
     u, v = duals[:r], duals[r:]
+    # rounding noise in a reduced cost (see transport_lmo) is not a descent
+    noise = max(1e-11, 2 * n * sys.float_info.epsilon * np.abs(cost).max())
     max_pivots = 4 * r * c + 1000
     for pivot in range(max_pivots + 1):
         reduced = cost - u[:, None]
         reduced -= v
         flat = int(reduced.argmin())
         ei, ej = divmod(flat, c)
-        if reduced[ei, ej] >= -1e-11:
+        if reduced[ei, ej] >= -noise:
             break
         if pivot == max_pivots:
             raise DegeneracyError(
@@ -611,24 +619,14 @@ def _transport_simplex(cost, a, b):
         basis[leaving] = (ei, ej)
         adjacency[ei][r + ej] = adjacency[r + ej][ei] = leaving
         # the leaving cell cut off the subtree holding the entering end on
-        # its side: hang it from the other end; each dual is recomputed
-        # along its root path, so it rounds exactly as in a full pass
+        # its side: hang it from the other end
         top, below = (r + ej, ei) if leaving in sides[0] else (ei, r + ej)
         parent[below], edge[below], depth[below] = top, leaving, depth[top] + 1
         pot[below] = costs[ei][ej] - pot[top]
-        subtree = [below]
-        for node in subtree:
-            for other, t in adjacency[node].items():
-                if other != parent[node]:
-                    parent[other], edge[other] = node, t
-                    depth[other] = depth[node] + 1
-                    i, j = basis[t]
-                    pot[other] = costs[i][j] - pot[node]
-                    subtree.append(other)
+        subtree = _hang(below, tree)
         duals[subtree] = [pot[node] for node in subtree]
 
-    pot, parent, edge, _, order, _ = _rooted_tree(basis, costs, r, c)
-    final = _subtree_flows(np.concatenate([a, b]).tolist(), parent, edge, order)
+    final = _subtree_flows(np.concatenate([a, b]).tolist(), parent, edge, _hang(0, tree))
     u, v = np.array(pot[:r]), np.array(pot[r:])
     gamma = np.zeros((r, c))
     rows, cols = zip(*basis)
@@ -676,8 +674,8 @@ def make_cluster_data(ns: int, nt: int, n_clusters: int = 3,
     """
     if not (1 <= n_clusters <= min(ns, nt)):
         raise ValueError("need 1 <= n_clusters <= min(ns, nt)")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and nonnegative, got {noise!r}")
     rng = make_rng(seed)
     centers = rng.uniform(0.0, 1.0, size=(n_clusters, 2))
     shift = rng.uniform(0.3, 0.6, size=2)

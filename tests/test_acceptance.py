@@ -490,3 +490,56 @@ def test_12_zero_g_reduction_is_bitwise_identical():
     print("ACCEPTANCE 12: PASS - with g = 0 the splitting solver and the "
           "adapted classic solver produce bitwise-identical iterate "
           "sequences under fixed, exact and armijo steps")
+
+
+def test_13_linear_rate_under_strong_convexity():
+    """The paper's linear rate when ``g`` is strongly convex.
+
+    Let ``f`` be L-smooth and ``g`` mu-strongly convex in the 2-norm,
+    ``s`` the partial oracle's point, ``d = s - x`` and ``gap`` the
+    surrogate gap at ``x``. The descent lemma for ``f`` and the chord
+    inequality for ``g`` give
+
+        F(x + a d) <= F(x) - a gap + (a/2) |d|^2 (a (L + mu) - mu).
+
+    At ``a = mu / (L + mu)`` the last term vanishes, and since
+    ``gap >= F - F*`` the exact step, no worse than any fixed one, gives
+    ``h_{k+1} <= q h_k`` with ``q = L / (L + mu)`` for ``h_k = F(x_k) -
+    F*``. As ``F(x + a d) >= F*``, also ``gap_k <= ((L + mu) / mu) h_k``.
+
+    Instances: the CLI's elastic-net data with lam 1 and tau 2, so
+    ``mu = 2 lam``, and ``L = |Z|_2^2`` for the squared loss or
+    ``|Z|_2^2 / 4`` for the logistic loss. ``q`` comes from these
+    constants, never from the run. ``F*`` comes from SPG at residual
+    1e-13; every iterate is checked while ``h_k > 1e-8 max(1, |F*|)``,
+    with ``1e-12 max(1, |F*|)`` of slack for the error in ``F*``.
+    """
+    dataset = en.make_toy_classification(200, 100, 10, seed=0)
+    x0 = np.zeros(100)
+    lines = []
+    for loss, curvature in (("squared", 1.0), ("logistic", 0.25)):
+        problem = en.problem_from_dataset(dataset, loss, lam=1.0, tau=2.0)
+        L = curvature * np.linalg.norm(problem.Z, 2) ** 2
+        mu = 2.0 * problem.lam
+        q = L / (L + mu)
+        ref = en.spg_solve(problem, x0, SolverConfig(
+            gap_tol=0.0, residual_tol=1e-13, max_iter=100000))
+        f_star = en.objective(problem, ref.x_final)
+        slack = 1e-12 * max(1.0, abs(f_star))
+        run = solve(en.en_split(problem), x0,
+                    SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=5000))
+        h = np.array(run.objectives()) - f_star
+        gaps = [r.surrogate_gap for r in run.trace]
+        checked = int(np.argmax(h <= 1e-8 * max(1.0, abs(f_star))))
+        assert h[checked] <= 1e-8 * max(1.0, abs(f_star)), loss
+        worst_ratio = worst_gap = 0.0
+        for k in range(checked):
+            assert h[k + 1] <= q * h[k] + slack, (loss, k)
+            assert gaps[k] <= (L + mu) / mu * (h[k] + slack), (loss, k)
+            worst_ratio = max(worst_ratio, h[k + 1] / h[k])
+            worst_gap = max(worst_gap, gaps[k] / h[k])
+        lines.append(f"{loss}: q = {q:.5f}, worst ratio {worst_ratio:.5f} over "
+                     f"{checked} iterates, gap/h <= {worst_gap:.1f} "
+                     f"(bound {(L + mu) / mu:.1f})")
+    print("ACCEPTANCE 13: PASS - exact-step splitting contracts F - F* by "
+          "q = L / (L + mu) or better each iterate; " + "; ".join(lines))

@@ -83,13 +83,13 @@ class TestOtRuns:
     def test_cg_solver_runs_the_simplex_on_non_square_data(self, tmp_path, monkeypatch):
         # ns != nt keeps the LMO off the assignment path
         import gcgs.transport
-        rooted = []
-        monkeypatch.setattr(gcgs.transport, "_rooted_tree",
-                            lambda *args, _fn=gcgs.transport._rooted_tree:
-                            rooted.append(1) or _fn(*args))
+        simplex = []
+        monkeypatch.setattr(gcgs.transport, "_transport_simplex",
+                            lambda *args, _fn=gcgs.transport._transport_simplex:
+                            simplex.append(1) or _fn(*args))
         assert main(_ot_args(tmp_path, "--solver", "cg", "--nt", "9",
                              "--k-neighbors", "4")) == 0
-        assert rooted
+        assert simplex
         rows = _read_trace(tmp_path / "trace.csv")
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["config"]["nt"] == 9
@@ -247,6 +247,11 @@ class TestExitCodes:
         (("enet", "--lam", "nan"), "lam"), (("enet", "--lam", "-1"), "lam"),
         (("ot", "--lambda-lap", "nan"), "lambda_lap"),
         (("ot", "--lambda-ent", "inf"), "lambda_ent"),
+        # a NaN Sinkhorn tolerance would burn the sweep cap, and an
+        # infinite one would accept the first, infeasible plan
+        (("ot", "--sinkhorn-tol", "nan"), "tol"),
+        (("ot", "--sinkhorn-tol", "inf"), "tol"),
+        (("ot", "--noise", "nan"), "noise"),
     ])
     def test_non_finite_or_out_of_range_weights_exit_2(self, tmp_path, capsys,
                                                         args, name):
@@ -254,6 +259,17 @@ class TestExitCodes:
         assert main(build(tmp_path, *args[1:])) == 2
         err = capsys.readouterr().err
         assert f"gcgs: {name} must be finite" in err
+
+    def test_oracle_failure_exits_1_without_a_traceback(self, tmp_path, capsys):
+        # no Sinkhorn sweep reaches a marginal violation of 1e-300
+        args = ["ot", "--ns", "6", "--nt", "6", "--n-clusters", "2",
+                "--k-neighbors", "2", "--sinkhorn-tol", "1e-300",
+                "--out", str(tmp_path / "trace.csv"),
+                "--summary", str(tmp_path / "summary.json")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gcgs: ") and "did not converge" in err
+        assert "Traceback" not in err
 
     def test_strict_from_json_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -417,10 +417,13 @@ class TestSinkhorn:
         with pytest.raises(ValueError, match="finite where"):
             sinkhorn(cost, a, a, 0.5,
                      potentials=(np.zeros(2), np.array([0.0, np.nan])))
-        with pytest.raises(ValueError, match="lambda_ent"):
-            sinkhorn(cost, a, a, 0.0)
-        with pytest.raises(ValueError, match="tol"):
-            sinkhorn(cost, a, a, 0.5, tol=0.0)
+        for lam in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="lambda_ent must be finite"):
+                sinkhorn(cost, a, a, lam)
+        # a NaN tol would run to the cap, an infinite one accept any plan
+        for tol in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                sinkhorn(cost, a, a, 0.5, tol=tol)
         with pytest.raises(ValueError, match="shape"):
             sinkhorn(np.zeros((3, 2)), a, a, 0.5)
 
@@ -535,6 +538,22 @@ class TestTransportLmo:
         assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
         assert abs(primal - float(a @ u + b @ v)) <= 1e-9
 
+    @pytest.mark.parametrize("scale", [1e3, 1e5, 1e8, 1e12])
+    def test_large_costs_do_not_pivot_on_rounding_noise(self, scale):
+        # reduced costs carry rounding noise of about eps * max|cost|;
+        # an absolute optimality test pivots on it past 1e-11 and spends
+        # the pivot budget (7 of these 60 did at 1e8 and at 1e12)
+        for seed in range(60):
+            rng = make_rng(seed)
+            r, c = (int(n) for n in rng.integers(2, 15, size=2))
+            a, b = _hist(rng, r), _hist(rng, c)
+            cost = rng.uniform(-scale, scale, (r, c))
+            gamma, (u, v) = transport_lmo(cost, a, b)
+            reduced = cost - u[:, None] - v[None, :]
+            assert reduced.min() >= -1e-9 * max(1.0, np.abs(cost).max())
+            assert marginal_violation(gamma, a, b) <= 1e-12
+            assert np.count_nonzero(gamma) <= r + c - 1
+
     def test_degenerate_uniform_marginals(self):
         # uniform-to-uniform with a Monge cost: many ties, still exact
         x = np.linspace(0.0, 1.0, 6)[:, None]
@@ -627,20 +646,20 @@ class TestAssignmentPath:
             self.assert_certified(grad, gamma, u, v)
 
     def test_unequal_weights_or_shapes_take_the_simplex(self, monkeypatch):
-        rooted = []
-        monkeypatch.setattr(gcgs.transport, "_rooted_tree",
-                            lambda *args, _fn=gcgs.transport._rooted_tree:
-                            rooted.append(1) or _fn(*args))
+        simplex = []
+        monkeypatch.setattr(gcgs.transport, "_transport_simplex",
+                            lambda *args, _fn=gcgs.transport._transport_simplex:
+                            simplex.append(1) or _fn(*args))
         rng = make_rng(53)
         n = 6
         cost, a = rng.random((n, n)), uniform_histogram(n)
         transport_lmo(cost, a, a)
-        assert not rooted
+        assert not simplex
         for cost, mu_s, mu_t in ((cost, _hist(rng, n), a),
                                  (rng.random((n, n + 1)), a, uniform_histogram(n + 1))):
             gamma, (u, v) = transport_lmo(cost, mu_s, mu_t)
-            assert rooted
-            rooted.clear()
+            assert simplex
+            simplex.clear()
             np.testing.assert_array_equal(
                 gamma, transport_lmo_rebuild_reference(cost, mu_s, mu_t))
             assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
@@ -954,8 +973,9 @@ class TestGraphsAndData:
     def test_cluster_data_validation(self):
         with pytest.raises(ValueError, match="n_clusters"):
             make_cluster_data(2, 9, n_clusters=3)
-        with pytest.raises(ValueError, match="noise"):
-            make_cluster_data(9, 9, noise=-0.1)
+        for noise in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="noise must be finite"):
+                make_cluster_data(9, 9, noise=noise)
 
     def test_squared_distances_match_loops(self):
         rng = make_rng(10)
@@ -1124,22 +1144,23 @@ class TestSplitObjectives:
         assert result.objectives()[-1] < result.objectives()[0]
 
     def test_cg_split_roots_the_basis_tree_at_most_twice_per_call(self, monkeypatch):
-        # the tree is rooted once to start and once for the returned
-        # plan; pivots update it in place instead of rebuilding it.
-        # Unequal source weights keep the oracle on the simplex.
+        # the tree is walked in full from node 0 once to start and once
+        # for the returned plan; pivots re-hang only the subtree they cut
+        # off. Unequal source weights keep the oracle on the simplex.
         calls = {"lmo": 0, "rooted": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         transport = gcgs.transport
-        monkeypatch.setattr(transport, "transport_lmo",
-                            counted("lmo", transport.transport_lmo))
-        monkeypatch.setattr(transport, "_rooted_tree",
-                            counted("rooted", transport._rooted_tree))
+
+        def lmo(*args):
+            calls["lmo"] += 1
+            return lmo_fn(*args)
+
+        def hang(top, tree):
+            calls["rooted"] += top == 0
+            return hang_fn(top, tree)
+
+        lmo_fn, hang_fn = transport.transport_lmo, transport._hang
+        monkeypatch.setattr(transport, "transport_lmo", lmo)
+        monkeypatch.setattr(transport, "_hang", hang)
         problem = replace(self._cluster_problem(seed=0, n=30),
                           mu_s=_hist(make_rng(61), 30))
         solve(ot_cg_split(problem),
