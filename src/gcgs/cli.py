@@ -201,13 +201,14 @@ def run_ot(config):
         lambda_lap=config["lambda_lap"], **kwargs)
 
     stol = config["sinkhorn_tol"]
+    # built first: ot_split checks the tolerance, which the start point
+    # also uses, under its option name
+    split = tr.ot_split(problem, sinkhorn_tol=stol,
+                        sinkhorn_max_iter=50000, warm_start=True)
+    if config["solver"] == "cg":
+        split = tr.ot_cg_split(problem)
     x0 = tr.sinkhorn(cost, mu_s, mu_t, problem.lambda_ent,
                      tol=stol, max_iter=50000)
-    if config["solver"] == "cgs":
-        split = tr.ot_split(problem, sinkhorn_tol=stol,
-                            sinkhorn_max_iter=50000, warm_start=True)
-    else:
-        split = tr.ot_cg_split(problem)
 
     gap_tol = config["gap_tol"]
     if gap_tol is None:

@@ -37,9 +37,6 @@ _TINY_STEP = 1e-14
 # Armijo sufficient-decrease constant.
 _ARMIJO_SIGMA = 1e-4
 
-# Step lengths at which estimate_curvature probes each sampled chord.
-_CURVATURE_ALPHAS = (0.1, 0.25, 0.5, 0.75, 1.0)
-
 
 class StallError(RuntimeError):
     """Backtracking line search could not find an acceptable step."""
@@ -121,12 +118,13 @@ class SolverConfig:
     ``gap_tol`` is an absolute threshold on the surrogate gap.
     ``residual_tol`` activates the problem-specific residual stopping
     rule when the objective defines one (e.g. the projected fixed-point
-    residual of the constrained elastic-net solvers). The Armijo rule
-    takes the largest step in {1, 0.5, 0.25, ...} with sufficient
-    decrease 1e-4; :func:`solve` warm-starts each search at the last
-    accepted step (see :func:`step_armijo`), which for convex ``F``
-    gives the same steps as scanning down from 1 every time, except
-    where rounding of ``F`` decides the test.
+    residual of the constrained elastic-net solvers). Both tolerances
+    must be finite and nonnegative. The Armijo rule takes the largest
+    step in {1, 0.5, 0.25, ...} with sufficient decrease 1e-4;
+    :func:`solve` warm-starts each search at the last accepted step (see
+    :func:`step_armijo`), which for convex ``F`` gives the same steps as
+    scanning down from 1 every time, except where rounding of ``F``
+    decides the test.
     """
 
     step_rule: str = "exact"
@@ -139,10 +137,12 @@ class SolverConfig:
             raise ValueError(f"unknown step rule {self.step_rule!r}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not self.gap_tol >= 0:  # also rejects NaN
-            raise ValueError(f"gap_tol must be >= 0, got {self.gap_tol!r}")
-        if self.residual_tol is not None and not self.residual_tol >= 0:
-            raise ValueError(f"residual_tol must be >= 0, got {self.residual_tol!r}")
+        # an infinite tolerance would stop every run at iteration 0
+        if not 0.0 <= self.gap_tol < math.inf:  # also rejects NaN
+            raise ValueError(f"gap_tol must be finite and >= 0, got {self.gap_tol!r}")
+        if self.residual_tol is not None and not 0.0 <= self.residual_tol < math.inf:
+            raise ValueError(
+                f"residual_tol must be finite and >= 0, got {self.residual_tol!r}")
 
 
 @dataclass
@@ -439,30 +439,6 @@ def cg_adapter(obj: SplitObjective, lmo: Callable[[np.ndarray], np.ndarray]) -> 
         exact_step=obj.exact_step,  # minimizes the same F along chords
         residual=obj.residual,
     )
-
-
-def estimate_curvature(obj: SplitObjective, sampler, rng,
-                       n_samples: int = 100) -> float:
-    """Sampled lower estimate of the curvature constant of ``F = f + g``.
-
-    ``sampler(rng)`` must yield a pair of feasible points ``(x, s)``. The
-    estimate is the largest observed value of
-    ``2 [F(x + a (s - x)) - F(x) - a <grad F(x), s - x>] / a**2``
-    over the samples and the steps ``a`` in {0.1, 0.25, 0.5, 0.75, 1};
-    it approaches the true constant from below as sampling densifies.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    best = 0.0
-    for _ in range(n_samples):
-        x, s = sampler(rng)
-        dx = s - x
-        fx = obj.value(x)
-        slope = float(np.vdot(obj.grad(x), dx))
-        for a in _CURVATURE_ALPHAS:
-            excess = obj.value(x + a * dx) - fx - a * slope
-            best = max(best, 2.0 * excess / (a * a))
-    return best
 
 
 def check_fixed_point(obj: SplitObjective, x: np.ndarray) -> tuple:

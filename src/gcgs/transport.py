@@ -100,9 +100,7 @@ class TransportProblem:
 
     ``lambda_ent`` weights the negentropy term and must be positive;
     ``lambda_lap`` weights the Laplacian term and may be zero, in which
-    case the graph fields may be omitted. ``lambda_s`` / ``lambda_t``
-    are the inner weights of the two Laplacian traces, finite and
-    nonnegative so that the regularizer stays convex.
+    case the graph fields may be omitted.
     """
 
     cost: np.ndarray
@@ -114,8 +112,6 @@ class TransportProblem:
     lap_t: Optional[np.ndarray] = None
     Xs: Optional[np.ndarray] = None
     Xt: Optional[np.ndarray] = None
-    lambda_s: float = 1.0
-    lambda_t: float = 1.0
 
     def __post_init__(self):
         self.cost = as_matrix(self.cost)
@@ -127,10 +123,9 @@ class TransportProblem:
         if not 0.0 < self.lambda_ent < math.inf:  # also rejects NaN
             raise ValueError(
                 f"lambda_ent must be finite and positive, got {self.lambda_ent!r}")
-        for name in ("lambda_lap", "lambda_s", "lambda_t"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if not 0.0 <= self.lambda_lap < math.inf:
+            raise ValueError(
+                f"lambda_lap must be finite and nonnegative, got {self.lambda_lap!r}")
         if self.lambda_lap > 0:
             checked = []
             for name, L, n in (("lap_s", self.lap_s, r), ("lap_t", self.lap_t, c)):
@@ -154,24 +149,21 @@ class TransportProblem:
 
 def laplacian_reg(gamma: np.ndarray, problem: TransportProblem) -> float:
     """Value of the position-preserving Laplacian regularizer."""
-    if problem.lambda_lap == 0.0 or problem.lap_s is None:
+    if problem.lambda_lap == 0.0:
         return 0.0
     A = gamma @ problem.Xt
-    term_s = problem.lambda_s * float(np.sum(A * (problem.lap_s @ A)))
     B = gamma.T @ problem.Xs
-    term_t = problem.lambda_t * float(np.sum(B * (problem.lap_t @ B)))
-    return term_s + term_t
+    return (float(np.sum(A * (problem.lap_s @ A)))
+            + float(np.sum(B * (problem.lap_t @ B))))
 
 
 def laplacian_reg_grad(gamma: np.ndarray, problem: TransportProblem) -> np.ndarray:
     """Gradient of :func:`laplacian_reg` with respect to the plan."""
-    if problem.lambda_lap == 0.0 or problem.lap_s is None:
+    if problem.lambda_lap == 0.0:
         return np.zeros_like(gamma)
     Ls, Lt = problem.lap_s, problem.lap_t
     Xs, Xt = problem.Xs, problem.Xt
-    g_s = 2.0 * problem.lambda_s * ((Ls @ gamma @ Xt) @ Xt.T)
-    g_t = 2.0 * problem.lambda_t * (Xs @ (Xs.T @ (gamma @ Lt)))
-    return g_s + g_t
+    return 2.0 * ((Ls @ gamma @ Xt) @ Xt.T) + 2.0 * (Xs @ (Xs.T @ (gamma @ Lt)))
 
 
 def ot_objective(gamma: np.ndarray, problem: TransportProblem) -> float:
@@ -202,8 +194,15 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     where an entry of the plan reaches zero at an end of the chord.
     With ``warm_start`` the oracle reuses its previous scaling
     potentials; such an objective holds per-solve state and must not be
-    shared across concurrent solves.
+    shared across concurrent solves. ``sinkhorn_tol`` must be finite and
+    positive and ``sinkhorn_max_iter`` an integer >= 1.
     """
+    if not 0.0 < sinkhorn_tol < math.inf:  # also rejects NaN
+        raise ValueError(
+            f"sinkhorn_tol must be finite and positive, got {sinkhorn_tol!r}")
+    if not isinstance(sinkhorn_max_iter, (int, np.integer)) or sinkhorn_max_iter < 1:
+        raise ValueError(
+            f"sinkhorn_max_iter must be an integer >= 1, got {sinkhorn_max_iter!r}")
     state = {"potentials": None}
 
     def f_eval(gamma):
@@ -477,11 +476,10 @@ def _assignment(cost):
 
     Shortest augmenting paths (Jonker & Volgenant 1987; Crouse 2016,
     "On implementing 2D rectangular assignment algorithms", IEEE TAES).
-    Rows are reduced, then columns, and rows are matched greedily to
-    free columns on cells of zero reduced cost. Each row left free then
-    grows a Dijkstra tree over the reduced costs ``cost - u[:, None] -
-    v`` until it reaches a free column, swaps the assignments along the
-    path and updates the duals of the scanned rows and columns once.
+    Rows are reduced, then columns. Each row in turn then grows a
+    Dijkstra tree over the reduced costs ``cost - u[:, None] - v`` until
+    it reaches a free column, swaps the assignments along the path and
+    updates the duals of the scanned rows and columns once.
     A step scans one row into the tentative distances: a scanned column
     is ``-inf`` in the augmentation's copy of ``v``, so its distance
     stays ``+inf`` and the argmin never picks it again. The scanned rows
@@ -496,17 +494,10 @@ def _assignment(cost):
     """
     n = cost.shape[0]
     u = cost.min(axis=1)
-    reduced = cost - u[:, None]
-    v = reduced.min(axis=0)
-    reduced -= v
+    v = (cost - u[:, None]).min(axis=0)
     col4row = [-1] * n
     row4col = [-1] * n
-    for i in range(n):
-        for j in np.flatnonzero(reduced[i] == 0.0).tolist():
-            if row4col[j] < 0:
-                col4row[i], row4col[j] = j, i
-                break
-    for free in [i for i in range(n) if col4row[i] < 0]:
+    for free in range(n):
         dist = np.full(n, np.inf)
         v_open = v.copy()
         rows, cols, reached, scans = [], [], [], []

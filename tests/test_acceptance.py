@@ -380,7 +380,7 @@ def test_09_analytic_gradients_match_finite_differences():
         tr.squared_distances(Xs, Xt), tr.uniform_histogram(8),
         tr.uniform_histogram(6), lambda_ent=0.1, lambda_lap=1.0,
         lap_s=tr.knn_laplacian(Xs, 3), lap_t=tr.knn_laplacian(Xt, 3),
-        Xs=Xs, Xt=Xt, lambda_s=0.8, lambda_t=1.2)
+        Xs=Xs, Xt=Xt)
     for _ in range(20):
         gamma = rng.random((8, 6))
         fd = finite_diff_grad(
@@ -492,13 +492,35 @@ def test_12_zero_g_reduction_is_bitwise_identical():
           "sequences under fixed, exact and armijo steps")
 
 
+def _check_linear_rate(name, run, f_star, L, mu):
+    """Asserts both bounds of test 13 on ``run``; returns a summary line.
+
+    Every iterate is checked while ``h_k > 1e-8 max(1, |F*|)``, with
+    ``1e-12 max(1, |F*|)`` of slack for the error in ``F*``.
+    """
+    q = L / (L + mu)
+    scale = max(1.0, abs(f_star))
+    h = run.objectives() - f_star
+    gaps = run.gaps()
+    checked = int(np.argmax(h <= 1e-8 * scale))
+    assert h[checked] <= 1e-8 * scale, name
+    for k in range(checked):
+        assert h[k + 1] <= q * h[k] + 1e-12 * scale, (name, k)
+        assert gaps[k] <= (L + mu) / mu * (h[k] + 1e-12 * scale), (name, k)
+    ratios = h[1:checked + 1] / h[:checked]
+    return (f"{name}: q = {q:.6f}, worst ratio {ratios.max():.5f} over {checked} "
+            f"iterates, gap/h <= {np.max(gaps[:checked] / h[:checked]):.1f} "
+            f"(bound {(L + mu) / mu:.1f})")
+
+
 def test_13_linear_rate_under_strong_convexity():
     """The paper's linear rate when ``g`` is strongly convex.
 
-    Let ``f`` be L-smooth and ``g`` mu-strongly convex in the 2-norm,
-    ``s`` the partial oracle's point, ``d = s - x`` and ``gap`` the
-    surrogate gap at ``x``. The descent lemma for ``f`` and the chord
-    inequality for ``g`` give
+    Let ``f`` be L-smooth and ``g`` mu-strongly convex in the 2-norm
+    (Frobenius norm for plans) on the feasible set, ``s`` the partial
+    oracle's point, ``d = s - x`` and ``gap`` the surrogate gap at
+    ``x``. The descent lemma for ``f`` and the chord inequality for
+    ``g`` give
 
         F(x + a d) <= F(x) - a gap + (a/2) |d|^2 (a (L + mu) - mu).
 
@@ -507,12 +529,21 @@ def test_13_linear_rate_under_strong_convexity():
     ``h_{k+1} <= q h_k`` with ``q = L / (L + mu)`` for ``h_k = F(x_k) -
     F*``. As ``F(x + a d) >= F*``, also ``gap_k <= ((L + mu) / mu) h_k``.
 
-    Instances: the CLI's elastic-net data with lam 1 and tau 2, so
-    ``mu = 2 lam``, and ``L = |Z|_2^2`` for the squared loss or
-    ``|Z|_2^2 / 4`` for the logistic loss. ``q`` comes from these
-    constants, never from the run. ``F*`` comes from SPG at residual
-    1e-13; every iterate is checked while ``h_k > 1e-8 max(1, |F*|)``,
-    with ``1e-12 max(1, |F*|)`` of slack for the error in ``F*``.
+    Elastic net: the CLI's data with lam 1 and tau 2, so ``mu = 2 lam``,
+    and ``L = |Z|_2^2`` for the squared loss or ``|Z|_2^2 / 4`` for the
+    logistic loss. ``F*`` comes from SPG at residual 1e-13.
+
+    Transport: ``make_cluster_data(20, 20, seed=0)``, kNN 3,
+    ``lambda_ent`` 1 and ``lambda_lap`` 1e3. The negentropy's Hessian is
+    ``diag(1 / gamma)`` and on the polytope ``gamma_ij <= min(a_i,
+    b_j)``, so ``mu = lambda_ent / max_ij min(a_i, b_j)``. The Laplacian
+    term's Hessian is ``D -> 2 (L_s D X_t X_t^T + X_s X_s^T D L_t)``, so
+    ``L <= 2 lambda_lap (|L_s| |X_t|^2 + |X_s|^2 |L_t|)`` in 2-norms;
+    the cost term is linear. The oracle is warm Sinkhorn at tol 1e-12
+    and ``F*`` the last objective of a run at tol 1e-13 and gap_tol
+    1e-15, both from the product plan.
+
+    ``q`` comes from these constants, never from the run.
     """
     dataset = en.make_toy_classification(200, 100, 10, seed=0)
     x0 = np.zeros(100)
@@ -520,26 +551,28 @@ def test_13_linear_rate_under_strong_convexity():
     for loss, curvature in (("squared", 1.0), ("logistic", 0.25)):
         problem = en.problem_from_dataset(dataset, loss, lam=1.0, tau=2.0)
         L = curvature * np.linalg.norm(problem.Z, 2) ** 2
-        mu = 2.0 * problem.lam
-        q = L / (L + mu)
         ref = en.spg_solve(problem, x0, SolverConfig(
             gap_tol=0.0, residual_tol=1e-13, max_iter=100000))
-        f_star = en.objective(problem, ref.x_final)
-        slack = 1e-12 * max(1.0, abs(f_star))
         run = solve(en.en_split(problem), x0,
                     SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=5000))
-        h = np.array(run.objectives()) - f_star
-        gaps = [r.surrogate_gap for r in run.trace]
-        checked = int(np.argmax(h <= 1e-8 * max(1.0, abs(f_star))))
-        assert h[checked] <= 1e-8 * max(1.0, abs(f_star)), loss
-        worst_ratio = worst_gap = 0.0
-        for k in range(checked):
-            assert h[k + 1] <= q * h[k] + slack, (loss, k)
-            assert gaps[k] <= (L + mu) / mu * (h[k] + slack), (loss, k)
-            worst_ratio = max(worst_ratio, h[k + 1] / h[k])
-            worst_gap = max(worst_gap, gaps[k] / h[k])
-        lines.append(f"{loss}: q = {q:.5f}, worst ratio {worst_ratio:.5f} over "
-                     f"{checked} iterates, gap/h <= {worst_gap:.1f} "
-                     f"(bound {(L + mu) / mu:.1f})")
+        lines.append(_check_linear_rate(
+            loss, run, en.objective(problem, ref.x_final), L, 2.0 * problem.lam))
+
+    Xs, Xt, a, b = tr.make_cluster_data(20, 20, seed=0)
+    problem = tr.TransportProblem(
+        tr.squared_distances(Xs, Xt), a, b, lambda_ent=1.0, lambda_lap=1e3,
+        lap_s=tr.knn_laplacian(Xs, 3), lap_t=tr.knn_laplacian(Xt, 3), Xs=Xs, Xt=Xt)
+    L = 2.0 * problem.lambda_lap * (
+        np.linalg.norm(problem.lap_s, 2) * np.linalg.norm(Xt, 2) ** 2
+        + np.linalg.norm(Xs, 2) ** 2 * np.linalg.norm(problem.lap_t, 2))
+    mu = problem.lambda_ent / np.minimum.outer(a, b).max()
+    product = np.outer(a, b)
+    ref = solve(tr.ot_split(problem, sinkhorn_tol=1e-13, warm_start=True), product,
+                SolverConfig(step_rule="exact", gap_tol=1e-15, max_iter=5000))
+    assert ref.termination == "gap_tol"
+    run = solve(tr.ot_split(problem, sinkhorn_tol=1e-12, warm_start=True), product,
+                SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=5000))
+    lines.append(_check_linear_rate(
+        "transport", run, ref.trace[-1].objective, L, mu))
     print("ACCEPTANCE 13: PASS - exact-step splitting contracts F - F* by "
           "q = L / (L + mu) or better each iterate; " + "; ".join(lines))

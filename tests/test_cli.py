@@ -241,6 +241,14 @@ class TestExitCodes:
         assert "gap_tol" in capsys.readouterr().err
         assert main(_enet_args(tmp_path, "--residual-tol", "-1")) == 2
         assert "residual_tol" in capsys.readouterr().err
+        # an infinite tolerance would stop at iteration 0 and write
+        # Infinity, which is not JSON, into the summary
+        assert main(_enet_args(tmp_path, "--gap-tol", "inf")) == 2
+        assert "gap_tol must be finite" in capsys.readouterr().err
+        assert main(_enet_args(tmp_path, "--residual-tol", "inf")) == 2
+        assert "residual_tol must be finite" in capsys.readouterr().err
+        assert main(_ot_args(tmp_path, "--gap-tol", "inf")) == 2
+        assert "gap_tol must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args,name", [
         (("enet", "--tau", "nan"), "tau"), (("enet", "--tau", "inf"), "tau"),
@@ -249,9 +257,11 @@ class TestExitCodes:
         (("ot", "--lambda-ent", "inf"), "lambda_ent"),
         # a NaN Sinkhorn tolerance would burn the sweep cap, and an
         # infinite one would accept the first, infeasible plan
-        (("ot", "--sinkhorn-tol", "nan"), "tol"),
-        (("ot", "--sinkhorn-tol", "inf"), "tol"),
+        (("ot", "--sinkhorn-tol", "nan"), "sinkhorn_tol"),
+        (("ot", "--sinkhorn-tol", "inf"), "sinkhorn_tol"),
         (("ot", "--noise", "nan"), "noise"),
+        (("ot", "--sinkhorn-tol", "0"), "sinkhorn_tol"),
+        (("ot", "--solver", "cg", "--sinkhorn-tol", "nan"), "sinkhorn_tol"),
     ])
     def test_non_finite_or_out_of_range_weights_exit_2(self, tmp_path, capsys,
                                                         args, name):
@@ -259,6 +269,18 @@ class TestExitCodes:
         assert main(build(tmp_path, *args[1:])) == 2
         err = capsys.readouterr().err
         assert f"gcgs: {name} must be finite" in err
+
+    def test_bad_sinkhorn_tol_exits_before_any_sinkhorn_call(self, tmp_path,
+                                                             capsys, monkeypatch):
+        # the split is built first, so the start point's Sinkhorn never
+        # runs on a tolerance that ot_split rejects
+        import gcgs.transport
+        calls = []
+        monkeypatch.setattr(gcgs.transport, "sinkhorn",
+                            lambda *args, **kwargs: calls.append(1))
+        assert main(_ot_args(tmp_path, "--sinkhorn-tol", "nan")) == 2
+        assert "gcgs: sinkhorn_tol must be finite" in capsys.readouterr().err
+        assert not calls
 
     def test_oracle_failure_exits_1_without_a_traceback(self, tmp_path, capsys):
         # no Sinkhorn sweep reaches a marginal violation of 1e-300
