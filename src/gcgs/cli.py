@@ -246,6 +246,9 @@ def run_enet(config):
         result = en.spg_solve(problem, x0, cfg)
     else:
         result = en.pg_solve(problem, x0, cfg)
+    if solver in ("spg", "pg"):
+        # a direction policy always steps by Armijo
+        config = dict(config, step="armijo")
     _write_trace(config["out"], result.trace, "fp_residual")
     _write_summary(config["summary"], config, result)
     return _exit_status(result.termination, config["strict"])

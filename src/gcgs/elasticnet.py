@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .numerics import as_matrix, as_vector, convex_min_unit, make_rng
 from .solver import (ProjectedGradient, SolveResult, SolverConfig,
@@ -35,6 +34,12 @@ def _ranks(n):
     ranks = np.arange(1.0, n + 1.0)
     ranks.flags.writeable = False
     return ranks
+
+
+def _logistic(z):
+    """1 / (1 + exp(-z)); 0 without a warning where exp(-z) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _check_radius(tau):
@@ -57,6 +62,8 @@ class ElasticNetProblem:
         self.y = as_vector(self.y)
         if self.Z.shape[0] != self.y.size:
             raise ValueError("Z and y row counts differ")
+        if self.Z.shape[1] == 0:
+            raise ValueError("Z has no feature column")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.loss in ("logistic", "squared_hinge"):
@@ -86,7 +93,7 @@ def loss_grad(problem: ElasticNetProblem, x: np.ndarray, Zx=None) -> np.ndarray:
     if problem.loss == "squared":
         return problem.Z.T @ (t - problem.y)
     if problem.loss == "logistic":
-        return problem.Z.T @ (-problem.y * expit(-problem.y * t))
+        return problem.Z.T @ (-problem.y * _logistic(-problem.y * t))
     u = np.maximum(0.0, 1.0 - problem.y * t)
     return problem.Z.T @ (-2.0 * problem.y * u)
 
@@ -222,7 +229,7 @@ def en_split(problem: ElasticNetProblem) -> SplitObjective:
             def dphi(a):
                 slope, curv = 2.0 * lam * (xd + a * dd), 2.0 * lam * dd
                 if problem.loss == "logistic":
-                    p = expit(-(t + a * u))
+                    p = _logistic(-(t + a * u))
                     return (slope - float(u @ p),
                             curv + float(uu @ (p * (1.0 - p))))
                 h = np.maximum(0.0, 1.0 - t - a * u)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import xlogy
 
 from .numerics import as_matrix, convex_min_unit, make_rng
 from .solver import SplitObjective, cg_adapter, iterate_cache
@@ -81,8 +80,14 @@ def marginal_violation(gamma: np.ndarray, mu_s: np.ndarray, mu_t: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 def negentropy(gamma: np.ndarray) -> float:
-    """sum(gamma * log(gamma)) with the convention 0 log 0 = 0."""
-    return float(np.sum(xlogy(gamma, gamma)))
+    """sum(gamma * log(gamma)) with the convention 0 log 0 = 0.
+
+    A negative entry makes the sum NaN, without a warning.
+    """
+    gamma = np.asarray(gamma, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        logs = np.log(gamma, out=np.zeros_like(gamma), where=gamma != 0)
+    return float(np.sum(gamma * logs))
 
 
 def negentropy_grad(gamma: np.ndarray) -> np.ndarray:
@@ -145,6 +150,9 @@ class TransportProblem:
                 raise ValueError("sample positions required when lambda_lap > 0")
             self.Xs = as_matrix(self.Xs)
             self.Xt = as_matrix(self.Xt)
+            for name, X, n in (("Xs", self.Xs, r), ("Xt", self.Xt, c)):
+                if X.shape[0] != n:
+                    raise ValueError(f"{name} must have {n} rows, got {X.shape[0]}")
 
 
 def laplacian_reg(gamma: np.ndarray, problem: TransportProblem) -> float:

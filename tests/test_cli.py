@@ -140,6 +140,26 @@ class TestEnetRuns:
         data.write_text("f0,label\n1.0,oops\n2.0,1.0\n")
         assert main(_enet_args(tmp_path, "--data", str(data))) == 2
 
+    def test_label_only_dataset_names_missing_features(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("label\n1\n-1\n1\n-1\n1\n")
+        assert main(_enet_args(tmp_path, "--data", str(data))) == 2
+        assert "no feature column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["spg", "pg"])
+    @pytest.mark.parametrize("step", ["exact", "fixed"])
+    def test_projection_solvers_echo_armijo_step(self, tmp_path, solver, step):
+        # a direction policy steps by Armijo whatever --step says
+        traces = []
+        for rule in (step, "armijo"):
+            assert main(_enet_args(tmp_path, "--solver", solver,
+                                   "--step", rule)) == 0
+            summary = json.loads((tmp_path / "summary.json").read_text())
+            assert summary["config"]["step"] == "armijo"
+            traces.append([dict(r, elapsed_s=None)
+                           for r in _read_trace(tmp_path / "trace.csv")])
+        assert traces[0] == traces[1]
+
 
 class TestConfigPrecedence:
     def test_flags_beat_json_beats_defaults(self, tmp_path):

@@ -7,11 +7,13 @@ central finite differences for gradients.
 """
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 import gcgs.solver
 from gcgs import elasticnet
@@ -23,6 +25,7 @@ from gcgs.elasticnet import (
     LOSSES,
     Dataset,
     ElasticNetProblem,
+    _logistic,
     en_cg_split,
     en_oracle,
     en_split,
@@ -358,6 +361,18 @@ class TestLosses:
                 ElasticNetProblem(Z=Z, y=np.ones(3), lam=1.0, tau=bad)
         with pytest.raises(ValueError, match="row counts"):
             ElasticNetProblem(Z=Z, y=np.ones(4), lam=1.0, tau=1.0)
+        with pytest.raises(ValueError, match="no feature column"):
+            ElasticNetProblem(Z=np.ones((3, 0)), y=np.ones(3), lam=1.0, tau=1.0)
+
+    def test_logistic_matches_scipy_expit(self):
+        z = np.linspace(-700.0, 700.0, 200001)
+        np.testing.assert_allclose(_logistic(z), expit(z), rtol=1e-15, atol=0.0)
+
+    def test_logistic_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _logistic(np.array([-1e3, 1e3, -np.inf, np.inf]))
+        assert out.tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
 class TestFixedPointResidual:

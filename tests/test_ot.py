@@ -21,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
+from scipy.special import xlogy
 
 import gcgs
 from gcgs.numerics import golden_section_min, make_rng
@@ -738,12 +739,16 @@ class TestAssignmentPath:
         assert u[0] + v[0] == -2.5
 
 
-def test_solves_load_no_heavy_scipy_modules():
-    """The library needs only scipy.special: scipy.optimize alone adds
-    about 21 MB of resident memory on import."""
+def test_solves_load_no_scipy_module():
+    """numpy is the library's only runtime dependency: importing every
+    module and running each solver loads no scipy module (importing
+    scipy.special alone took peak resident memory from about 28 MB to
+    55 MB)."""
     code = textwrap.dedent("""
         import sys
         import numpy as np
+        from gcgs import cli, numerics
+        from gcgs import elasticnet as en
         from gcgs import transport as tr
         from gcgs.solver import SolverConfig, solve
         Xs, Xt, a, b = tr.make_cluster_data(20, 20, seed=0)
@@ -754,8 +759,15 @@ def test_solves_load_no_heavy_scipy_modules():
         cfg = SolverConfig(gap_tol=0.0, max_iter=3)
         for split in (tr.ot_split(problem), tr.ot_cg_split(problem)):
             solve(split, np.outer(a, b), cfg)
-        heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse.linalg")
-        print(",".join(m for m in heavy if m in sys.modules))
+        data = en.make_toy_classification(40, 12, 4, seed=0)
+        cfg = SolverConfig(max_iter=3, residual_tol=1e-8)
+        for loss in ("logistic", "squared_hinge"):
+            enp = en.problem_from_dataset(data, loss, 1.0, 2.0)
+            x0 = np.zeros(enp.Z.shape[1])
+            solve(en.en_split(enp), x0, cfg)
+            en.spg_solve(enp, x0, cfg)
+            en.pg_solve(enp, x0, cfg)
+        print(",".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     src = os.path.dirname(os.path.dirname(gcgs.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -774,6 +786,21 @@ class TestEntropyAndLaplacian:
     def test_negentropy_zero_entries_contribute_nothing(self):
         gamma = np.array([[0.5, 0.0], [0.0, 0.5]])
         assert negentropy(gamma) == pytest.approx(np.log(0.5), rel=1e-12)
+        assert negentropy([[1, 0], [0, 0]]) == 0.0  # integer entries
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_negentropy_matches_scipy_xlogy(self, seed):
+        rng = make_rng(seed)
+        r, c = rng.integers(1, 40, size=2)
+        gamma = rng.random((r, c)) ** 3
+        gamma[rng.random((r, c)) < 0.3] = 0.0
+        expected = float(np.sum(xlogy(gamma, gamma)))
+        assert negentropy(gamma) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_negentropy_of_negative_entry_is_nan(self):
+        gamma = np.array([[0.5, -1e-3], [0.0, 0.501]])
+        with np.errstate(all="raise"):
+            assert math.isnan(negentropy(gamma))
 
     def test_negentropy_grad_matches_finite_diff(self):
         rng = make_rng(3)
@@ -892,6 +919,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="positions"):
             TransportProblem(cost, a, a, 0.5, lambda_lap=1.0,
                              lap_s=L, lap_t=L, Xs=X)
+        with pytest.raises(ValueError, match="Xs must have 3 rows, got 2"):
+            TransportProblem(cost, a, a, 0.5, lambda_lap=1.0,
+                             lap_s=L, lap_t=L, Xs=X[:2], Xt=X)
+        with pytest.raises(ValueError, match="Xt must have 3 rows, got 4"):
+            TransportProblem(cost, a, a, 0.5, lambda_lap=1.0,
+                             lap_s=L, lap_t=L, Xs=X, Xt=np.zeros((4, 2)))
 
 
 class TestHistograms:
