@@ -2,10 +2,11 @@
 
 Expected values come from five independent oracles defined below:
 a bisection solver for 2x2 entropic transport (one free parameter),
-a log-domain Sinkhorn that never leaves the log domain, brute-force
-vertex enumeration of small transport polytopes, a transportation
-simplex that rebuilds its basis tree every pivot, and scipy's LP solver
-for medium instances.
+plain log-domain Sinkhorn sweeps that never leave the log domain (they
+also count the plain sweeps the overrelaxed loop is measured against),
+brute-force vertex enumeration of small transport polytopes, a
+transportation simplex that rebuilds its basis tree every pivot, and
+scipy's LP solver for medium instances.
 """
 
 import itertools
@@ -127,16 +128,15 @@ def lmo_by_linprog(cost, a, b):
     return res.x.reshape(r, c), float(res.fun)
 
 
-def sinkhorn_log_reference(cost, a, b, lam, tol, max_iter=200000, g=None):
-    """Entropic plan by log-domain Sinkhorn on max-shifted log-sum-exps.
+def log_domain_sweeps(cost, a, b, lam, g=None):
+    """Plain Sinkhorn sweeps on max-shifted log-sum-exps, without end.
 
     Each sweep sets the potentials directly,
     ``f = log a - LSE_j(log_kernel + g)`` and
     ``g = log b - LSE_i(log_kernel + f)``, starting from ``g`` (zero by
     default), so no scaling is ever formed and no value can overflow.
-    Returns the plan once the row violation (the columns are exact
-    after each sweep) is at most ``tol``, or None after ``max_iter``
-    sweeps.
+    Yields the plan after each sweep and its row violation (the columns
+    are exact after each sweep).
     """
     log_kernel = -cost / lam - 1.0
     with np.errstate(divide="ignore"):
@@ -148,13 +148,29 @@ def sinkhorn_log_reference(cost, a, b, lam, tol, max_iter=200000, g=None):
             top + np.log(np.exp(m - top).sum(axis=axis, keepdims=True)), axis)
 
     g = np.zeros(len(b)) if g is None else g
-    for _ in range(max_iter):
+    while True:
         f = log_a - lse(log_kernel + g[None, :], 1)
         g = log_b - lse(log_kernel + f[:, None], 0)
         plan = np.exp(log_kernel + f[:, None] + g[None, :])
-        if np.max(np.abs(plan.sum(axis=1) - a)) <= tol:
-            return plan
-    return None
+        yield plan, np.max(np.abs(plan.sum(axis=1) - a))
+
+
+def sinkhorn_log_reference(cost, a, b, lam, tol, max_iter=200000, g=None):
+    """Entropic plan by :func:`log_domain_sweeps`.
+
+    Returns the plan once the row violation is at most ``tol``, or None
+    after ``max_iter`` sweeps.
+    """
+    sweeps = itertools.islice(log_domain_sweeps(cost, a, b, lam, g), max_iter)
+    return next((plan for plan, viol in sweeps if viol <= tol), None)
+
+
+def plain_sweep_count(cost, a, b, lam, tol, max_iter, g=None):
+    """Plain (not overrelaxed) sweeps :func:`log_domain_sweeps` takes to
+    bring the violation to ``tol``, checked after every sweep, or None
+    when ``max_iter`` sweeps do not."""
+    sweeps = itertools.islice(log_domain_sweeps(cost, a, b, lam, g), max_iter)
+    return next((k for k, (_, viol) in enumerate(sweeps, 1) if viol <= tol), None)
 
 
 def transport_lmo_rebuild_reference(cost, a, b):
@@ -272,6 +288,26 @@ class TestOracleSelfChecks:
         assert abs(val_enum - val_lp) <= 1e-9
 
 
+def _draw_sinkhorn_instance(data):
+    """Marginals with zero entries, lambda, a cost and the cost moved by
+    up to 1000 lambda, drawn for the Sinkhorn properties."""
+    r, c = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    lam = data.draw(st.floats(1e-3, 1.0))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+    def hist(n):
+        w = data.draw(hnp.arrays(np.float64, n, elements=weight)
+                      .filter(lambda w: w.sum() > 0))
+        return w / w.sum()
+
+    a, b = hist(r), hist(c)
+    cost = data.draw(hnp.arrays(np.float64, (r, c),
+                                elements=st.floats(0.0, 1.0)))
+    moved = cost + lam * data.draw(hnp.arrays(
+        np.float64, (r, c), elements=st.floats(-1000.0, 1000.0)))
+    return a, b, lam, cost, moved
+
+
 class TestSinkhorn:
     @pytest.mark.parametrize("lam", [1.0, 0.35])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -356,20 +392,7 @@ class TestSinkhorn:
     @given(data=st.data())
     def test_property_plans_feasible_and_reproduced_by_potentials(self, data):
         """Cold calls, then warm calls on a cost moved by up to 1000 lambda."""
-        r, c = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
-        lam = data.draw(st.floats(1e-3, 1.0))
-        weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
-
-        def hist(n):
-            w = data.draw(hnp.arrays(np.float64, n, elements=weight)
-                          .filter(lambda w: w.sum() > 0))
-            return w / w.sum()
-
-        a, b = hist(r), hist(c)
-        cost = data.draw(hnp.arrays(np.float64, (r, c),
-                                    elements=st.floats(0.0, 1.0)))
-        moved = cost + lam * data.draw(hnp.arrays(
-            np.float64, (r, c), elements=st.floats(-1000.0, 1000.0)))
+        a, b, lam, cost, moved = _draw_sinkhorn_instance(data)
         pots = None
         for cost_k in (cost, moved):
             # Sinkhorn's sweep count has no bound over this domain (nearly
@@ -390,6 +413,52 @@ class TestSinkhorn:
             rebuilt = np.exp(-cost_k / lam - 1.0 + f[:, None] + g[None, :])
             np.testing.assert_allclose(np.maximum(rebuilt, 1e-300), plan,
                                        rtol=1e-9, atol=1e-200)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_property_converges_wherever_plain_sweeps_do(self, data):
+        """Overrelaxation costs no convergence at a cap of 1,000 sweeps.
+
+        Cold calls, then warm calls on the moved cost: wherever plain
+        sweeps reach ``tol`` within ``cap``, so does :func:`sinkhorn`
+        given the same ``max_iter``. (At a cap near 50, a weight
+        estimated on a plateau can miss: README "Numerical notes".)
+        """
+        a, b, lam, cost, moved = _draw_sinkhorn_instance(data)
+        cap, pots = 1000, None
+        for cost_k in (cost, moved):
+            assume(plain_sweep_count(
+                cost_k, a, b, lam, tol=1e-9, max_iter=cap,
+                g=None if pots is None else pots[1]) is not None)
+            plan, pots = sinkhorn(cost_k, a, b, lam, tol=1e-9, max_iter=cap,
+                                  potentials=pots, return_potentials=True)
+            assert marginal_violation(plan, a, b) <= 1e-9
+
+    def test_overrelaxed_sweeps_beat_plain_sweeps_on_a_cluster_cost(self):
+        Xs, Xt, a, b = make_cluster_data(60, 60, seed=0)
+        cost = squared_distances(Xs, Xt)
+        # measured: plain sweeps need 1,876; sinkhorn takes 310 (counted
+        # as kernel products over two)
+        assert plain_sweep_count(cost, a, b, 0.01, tol=1e-5,
+                                 max_iter=1000) is None
+        plan = sinkhorn(cost, a, b, 0.01, tol=1e-5, max_iter=1000)
+        assert marginal_violation(plan, a, b) <= 1e-5
+
+    def test_near_tie_still_ends_in_convergence_error(self):
+        """One dominant kernel entry fills a row and a column whose
+        marginals tie: the sweeps converge sublinearly. Overrelaxed they
+        get further in 1,000 sweeps than plain ones (violation 4.7e-5
+        against 2.1e-4), but a tight ``tol`` still runs to the cap."""
+        cost = np.zeros((6, 6))
+        cost[2, 3] = -19.0
+        a = np.array([0.0, 0.2, 0.3, 0.1, 0.2, 0.2])
+        b = np.array([0.1, 0.2, 0.0, 0.3, 0.2, 0.2])
+        _, plain = next(itertools.islice(
+            log_domain_sweeps(cost, a, b, 1.0), 999, None))
+        assert plain > 2e-4
+        with pytest.raises(ConvergenceError, match="1000 iterations") as info:
+            sinkhorn(cost, a, b, 1.0, tol=1e-9, max_iter=1000)
+        assert 1e-9 < info.value.violation < plain / 2
 
     def test_convergence_error_carries_violation(self):
         rng = make_rng(23)
@@ -427,6 +496,12 @@ class TestSinkhorn:
                 sinkhorn(cost, a, a, 0.5, tol=tol)
         with pytest.raises(ValueError, match="shape"):
             sinkhorn(np.zeros((3, 2)), a, a, 0.5)
+        # a cap below one sweep used to raise ConvergenceError, a float
+        # cap a bare TypeError
+        for max_iter in (0, -3, 2.5, "10", None):
+            with pytest.raises(ValueError, match="max_iter must be an integer"):
+                sinkhorn(cost, a, a, 0.5, max_iter=max_iter)
+        assert sinkhorn(cost, a, a, 0.5, max_iter=np.int64(1)).shape == (2, 2)
 
 
 class TestTransportLmo:
