@@ -14,9 +14,9 @@ sample positions. The split used by the solver linearizes the cost and
 Laplacian parts; the resulting subproblem is entropic transport with an
 adjusted cost and is solved by Sinkhorn-Knopp scaling. An exact linear
 minimizer, returning a vertex and its certifying duals, supports the
-classic conditional gradient baseline: shortest augmenting paths when
-the instance is an assignment problem (square, all marginal entries
-equal), a transportation simplex otherwise.
+classic conditional gradient baseline: shortest augmenting paths from
+auction-priced duals when the instance is an assignment problem (square,
+all marginal entries equal), a transportation simplex otherwise.
 """
 
 import math
@@ -40,6 +40,15 @@ _ABSORB_BOUND = 100.0
 # the plain contraction tends to 1, and a fixed weight of 1.8 already
 # left one warm `gcgs ot` call at the sweep cap.
 _MAX_WEIGHT = 1.8
+
+# Auction pricing of the assignment path's start (_auction_prices): eps
+# shrinks by _AUCTION_SHRINK per phase from the reduced spread over that
+# factor to _AUCTION_FLOOR times it, a phase ends at n // _AUCTION_FREE
+# free rows, and _AUCTION_ROUNDS * n rounds run at most.
+_AUCTION_SHRINK = 4.0
+_AUCTION_FLOOR = 1e-4
+_AUCTION_FREE = 5
+_AUCTION_ROUNDS = 4
 
 
 class ConvergenceError(RuntimeError):
@@ -470,10 +479,11 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t):
     equals the plan's value.
     Square instances whose marginal entries are all one float are
     assignment problems (the vertices of the scaled Birkhoff polytope
-    are scaled permutations), solved by shortest augmenting paths
-    (:func:`_assignment`): the plan is ``mu_s[i]`` at each assigned cell
-    and exactly zero elsewhere. Every other instance goes to the
-    transportation simplex (:func:`_transport_simplex`), which raises
+    are scaled permutations), solved by shortest augmenting paths from
+    auction-priced duals (:func:`_assignment`): the plan is ``mu_s[i]``
+    at each assigned cell and exactly zero elsewhere; where the optimum
+    is unique, the prices cannot change it. Every other instance goes to
+    the transportation simplex (:func:`_transport_simplex`), which raises
     :class:`DegeneracyError` past its pivot budget. A cost that is not
     finite, or large enough to overflow the potentials, raises
     ``ValueError``.
@@ -488,16 +498,22 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t):
     # With R = max cost - min cost <= 2 M: a simplex potential sums at
     # most r + c - 1 costs of alternating sign along its tree path from
     # u[0] = 0, so a reduced cost (cost - u) - v is within 2 (r + c) M.
-    # Assignment: 0 <= v <= R after the reductions; a free row (u its row
-    # minimum) reaches a free column (v unchanged) within R, so each
-    # augmentation moves each dual by at most R, and u + v <= cost on a
-    # free column caps u at max cost when one starts. So u stays in
-    # [min cost, max cost + R], v in [-2 R, R], and a scan entry
-    # cost + (d - u) - v or a reduced cost within 8 M. The factor of 2
-    # or more left covers rounding. NaN fails the test too. Rounding its
-    # at most 2 (r + c) additions leaves a simplex reduced cost about
-    # 2 (r + c) eps M off, so the simplex stops once none is below
-    # -max(1e-11, 2 (r + c) eps M) and large costs do not pivot on noise.
+    # Assignment (n >= 2, so the limit is at least 32 M; at n = 1 the
+    # spread is 0 and nothing is priced): the reductions leave v0 in
+    # [0, R] and reduced costs in [0, S], S <= R. The auction keeps its
+    # prices p in [0, 1.25 S] (:func:`_auction_prices`), its values
+    # below 2.25 S and its bids below 2.5 S. So v = v0 - p is in
+    # [-1.25 R, R] and u = min(cost - v) in [min cost - R,
+    # max cost + 1.25 R]. A free row reaches a free column within that
+    # cell's reduced cost, at most S + 1.25 S, and free columns keep
+    # their v, so u stays at most max cost + 3.5 R (u + v <= cost on a
+    # free column before each augmentation) and v, cost - u on assigned
+    # cells, at least -4.5 R. Each scan entry cost + (d - u) - v is then
+    # within 22.5 M; the factor left covers rounding. NaN fails the
+    # test too. Rounding its at most 2 (r + c) additions leaves a
+    # simplex reduced cost about 2 (r + c) eps M off, so the simplex
+    # stops once none is below -max(1e-11, 2 (r + c) eps M) and large
+    # costs do not pivot on noise.
     limit = sys.float_info.max / (8.0 * (r + c))
     if not np.abs(cost).max() <= limit:
         raise ValueError(f"cost must be finite and within {limit:.3e}, or its range overflows")
@@ -510,15 +526,79 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t):
     return _transport_simplex(cost, a, b)
 
 
+def _auction_prices(reduced):
+    """Column prices from epsilon-scaling Jacobi auction rounds.
+
+    Bertsekas 1988, "The auction algorithm: a distributed relaxation
+    method for the assignment problem", Ann. Oper. Res. 14, on the
+    nonnegative ``reduced`` costs, whose minimum is 0. In a round every
+    free row bids for its cheapest column (cost plus price): the price
+    rises until that column costs the row ``eps`` more than its
+    second-cheapest. The highest bid takes each column, the first row on
+    a tie, and frees the row that held it. ``eps`` starts at the spread
+    ``S`` over ``_AUCTION_SHRINK`` and shrinks by that factor per phase
+    down to ``_AUCTION_FLOOR * S``; a phase starts with every row free
+    and ends once at most ``n // _AUCTION_FREE`` are. At most
+    ``_AUCTION_ROUNDS * n`` rounds run in all. Prices are shifted to a
+    minimum of 0 after every round, so they stay in ``[0, 1.25 S]``: a
+    bid is at most ``S + eps`` above the cheapest other column's price.
+    A zero spread returns zero prices (``eps`` would be 0).
+    """
+    n = reduced.shape[0]
+    prices = np.zeros(n)
+    spread = float(reduced.max())
+    if spread == 0.0:
+        return prices
+    eps = spread / _AUCTION_SHRINK
+    rounds = _AUCTION_ROUNDS * n
+    while rounds:
+        owner = np.full(n, -1)
+        held = np.zeros(n, dtype=bool)
+        free = np.arange(n)
+        while free.size > n // _AUCTION_FREE and rounds:
+            rounds -= 1
+            values = reduced[free]
+            values += prices
+            bidders = np.arange(free.size)
+            picks = values.argmin(axis=1)
+            best = values[bidders, picks]
+            values[bidders, picks] = np.inf
+            second = values[bidders, values.argmin(axis=1)]
+            bids = prices[picks] + (second - best) + eps
+            # per column, the highest bid first, then the first row
+            order = np.lexsort((-bids, picks))
+            won = np.ones(order.size, dtype=bool)
+            won[1:] = picks[order[1:]] != picks[order[:-1]]
+            order = order[won]
+            cols, rows = picks[order], free[order]
+            prices[cols] = bids[order]
+            prices -= prices.min()
+            outbid = owner[cols]
+            held[outbid[outbid >= 0]] = False
+            owner[cols] = rows
+            held[rows] = True
+            free = np.flatnonzero(~held)
+        if eps <= _AUCTION_FLOOR * spread:
+            break
+        eps = max(eps / _AUCTION_SHRINK, _AUCTION_FLOOR * spread)
+    return prices
+
+
 def _assignment(cost):
     """Optimal assignment of rows to columns, with its dual potentials.
 
     Shortest augmenting paths (Jonker & Volgenant 1987; Crouse 2016,
-    "On implementing 2D rectangular assignment algorithms", IEEE TAES).
-    Rows are reduced, then columns. Each row in turn then grows a
-    Dijkstra tree over the reduced costs ``cost - u[:, None] - v`` until
-    it reaches a free column, swaps the assignments along the path and
-    updates the duals of the scanned rows and columns once.
+    "On implementing 2D rectangular assignment algorithms", IEEE TAES)
+    from a priced start. Rows are reduced, then columns, and auction
+    rounds on the reduced costs (:func:`_auction_prices`) price the
+    columns: ``v`` drops by the prices and ``u`` is the row minimum of
+    ``cost - v``. Each row, in row order, takes its cheapest column if
+    no earlier row did; those cells are tight. Each row left free then
+    grows a Dijkstra tree over the reduced costs
+    ``cost - u[:, None] - v`` until it reaches a free column, swaps the
+    assignments along the path and updates the duals of the scanned rows
+    and columns once. Good prices make most trees short; the paths alone
+    make the result exact, whatever the prices.
     A step scans one row into the tentative distances: a scanned column
     is ``-inf`` in the augmentation's copy of ``v``, so its distance
     stays ``+inf`` and the argmin never picks it again. The scanned rows
@@ -528,15 +608,24 @@ def _assignment(cost):
     Returns ``(cols, u, v)``: row ``i`` goes to column ``cols[i]``,
     ``u_i + v_j <= cost_ij`` up to rounding, with equality on the
     assigned cells. The range check in :func:`transport_lmo` keeps
-    every distance and dual finite, so each search reaches a free
+    every price, distance and dual finite, so each search reaches a free
     column within ``n`` steps.
     """
     n = cost.shape[0]
-    u = cost.min(axis=1)
-    v = (cost - u[:, None]).min(axis=0)
+    reduced = cost - cost.min(axis=1)[:, None]
+    v = reduced.min(axis=0)
+    reduced -= v
+    v -= _auction_prices(reduced)
+    priced = cost - v
+    cheapest = priced.argmin(axis=1)
+    u = priced[np.arange(n), cheapest]
     col4row = [-1] * n
     row4col = [-1] * n
-    for free in range(n):
+    # np.unique gives each column's first row, in row order
+    taken, first = np.unique(cheapest, return_index=True)
+    for j, i in zip(taken.tolist(), first.tolist()):
+        col4row[i], row4col[j] = j, i
+    for free in [i for i in range(n) if col4row[i] < 0]:
         dist = np.full(n, np.inf)
         v_open = v.copy()
         rows, cols, reached, scans = [], [], [], []

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 from scipy.special import xlogy
@@ -709,22 +709,61 @@ class TestAssignmentPath:
         assert abs(float(np.vdot(gamma, cost)) - lp_value) <= 1e-12
         self.assert_certified(cost, gamma, u, v)
 
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(kind=st.sampled_from(["continuous", "ties", "near_additive", "constant"]),
+           n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    @example(kind="constant", n=1, seed=0)
+    def test_property_priced_start_matches_rebuild_reference(self, kind, n, seed):
+        """Up to 60x60, where the auction runs through all its phases.
+
+        Four cost families: continuous draws (a unique optimum, so the
+        plan bytes must be the reference's), small-integer ties, near-
+        additive costs ``a_i + b_j`` plus 1e-3 noise (every assignment
+        within about 0.1% of the others), and constant costs, whose zero
+        spread skips the auction.
+        """
+        rng = make_rng(seed)
+        if kind == "continuous":
+            cost = rng.random((n, n))
+        elif kind == "ties":
+            cost = rng.integers(0, 4, (n, n)).astype(np.float64)
+        elif kind == "near_additive":
+            cost = rng.random((n, 1)) + rng.random(n) + 1e-3 * rng.random((n, n))
+        else:
+            cost = np.full((n, n), rng.uniform(-1.0, 1.0))
+        a = uniform_histogram(n)
+        gamma, (u, v) = transport_lmo(cost, a, a)
+        reference = transport_lmo_rebuild_reference(cost, a, a)
+        assert abs(float(np.vdot(gamma, cost)) - float(np.vdot(reference, cost))) <= 1e-12
+        if kind == "continuous":
+            assert gamma.tobytes() == reference.tobytes()
+        self.assert_certified(cost, gamma, u, v)
+
     def test_same_bytes_as_the_simplex_on_cluster_gradients(self):
-        problem = TestSplitObjectives._cluster_problem(seed=0, n=30)
-        split = ot_cg_split(problem)
-        x0 = np.outer(problem.mu_s, problem.mu_t)
-        run = solve(split, x0, SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=5))
-        a = problem.mu_s
-        for x in (x0, run.x_final):
-            grad = split.f_grad(x)
-            gamma, (u, v) = transport_lmo(grad, a, a)
-            assert gamma.tobytes() == transport_lmo_rebuild_reference(grad, a, a).tobytes()
-            self.assert_certified(grad, gamma, u, v)
+        # 30x30 from the product plan, and the acceptance suite's 100x100
+        # instance from its Sinkhorn start: each before and after 5 exact
+        # classic CG iterations
+        from test_acceptance import _full_scale_problem
+        small = TestSplitObjectives._cluster_problem(seed=0, n=30)
+        full = _full_scale_problem(seed=0)
+        starts = ((small, np.outer(small.mu_s, small.mu_t)),
+                  (full, sinkhorn(full.cost, full.mu_s, full.mu_t, full.lambda_ent,
+                                  tol=1e-5, max_iter=50000)))
+        for problem, x0 in starts:
+            split = ot_cg_split(problem)
+            run = solve(split, x0, SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=5))
+            a = problem.mu_s
+            for x in (x0, run.x_final):
+                grad = split.f_grad(x)
+                gamma, (u, v) = transport_lmo(grad, a, a)
+                assert gamma.tobytes() == transport_lmo_rebuild_reference(grad, a, a).tobytes()
+                self.assert_certified(grad, gamma, u, v)
 
     @pytest.mark.parametrize("kind", ["all_tight", "banded_ties"])
     def test_many_tight_cells_at_scale(self, kind):
-        # every row grows its own Dijkstra tree: with many tight cells,
-        # most rows reach a free column at distance 0 after the reductions
+        # with many tight cells most rows find their cheapest column taken
+        # and grow a Dijkstra tree; a constant cost has a zero spread, so
+        # no auction prices it and only row 0 gets its cheapest column
         n = 40
         if kind == "all_tight":
             cost = np.zeros((n, n))
@@ -807,6 +846,35 @@ class TestAssignmentPath:
         if np.abs(cost).max() > 0:
             with pytest.raises(ValueError, match="overflows"):
                 transport_lmo(4.0 * scale * cost, a, b)
+
+    @pytest.mark.parametrize("kind", ["continuous", "integer"])
+    def test_costs_at_the_range_limit_stay_exact_at_scale(self, kind):
+        """The priced start on 100x100 at the largest allowed magnitude.
+
+        The property test above draws n <= 6, where the auction barely
+        runs; here it runs through all its phases. Scaling by a power of
+        two keeps every operation exact, so the scaled run must give the
+        same plan and the scaled duals without a floating-point error.
+        """
+        n = 100
+        rng = make_rng(97)
+        if kind == "continuous":
+            cost = rng.uniform(-1.0, 1.0, (n, n))
+        else:
+            cost = rng.integers(-3, 4, (n, n)).astype(np.float64)
+        a = uniform_histogram(n)
+        m = np.abs(cost).max()
+        # the largest power of two with scale * m within max / (8 (r + c))
+        scale = 2.0 ** (math.frexp(sys.float_info.max / (8 * (n + n) * m))[1] - 1)
+        with np.errstate(all="raise"):
+            big, (u_big, v_big) = transport_lmo(scale * cost, a, a)
+        gamma, (u, v) = transport_lmo(cost, a, a)
+        assert big.tobytes() == gamma.tobytes()
+        np.testing.assert_array_equal(u_big, scale * u)
+        np.testing.assert_array_equal(v_big, scale * v)
+        self.assert_certified(cost, gamma, u, v)
+        with pytest.raises(ValueError, match="overflows"):
+            transport_lmo(4.0 * scale * cost, a, a)
 
     def test_single_cell(self):
         gamma, (u, v) = transport_lmo(np.array([[-2.5]]), [1.0], [1.0])
