@@ -24,9 +24,7 @@ import numpy as np
 
 from . import elasticnet as en
 from . import transport as tr
-from .solver import SolverConfig, check_fixed_point, solve
-
-STEPS = ("exact", "armijo", "fixed")
+from .solver import STEP_RULES, SolverConfig, check_fixed_point, solve
 
 # Every option of each experiment, declared once as
 # ``key: (default, type, choices)``. The command-line flag ``--key``
@@ -35,7 +33,7 @@ STEPS = ("exact", "armijo", "fixed")
 OPTIONS = {
     "ot": {
         "solver": ("cgs", str, ("cgs", "cg")),
-        "step": ("exact", str, STEPS),
+        "step": ("exact", str, STEP_RULES),
         "seed": (0, int, None),
         "ns": (100, int, None),
         "nt": (100, int, None),
@@ -51,7 +49,7 @@ OPTIONS = {
     },
     "enet": {
         "solver": ("cgs", str, ("cgs", "cg", "spg", "pg")),
-        "step": ("exact", str, STEPS),
+        "step": ("exact", str, STEP_RULES),
         "seed": (0, int, None),
         "n_samples": (200, int, None),
         "n_features": (100, int, None),

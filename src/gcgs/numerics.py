@@ -46,6 +46,11 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
+def is_count(n) -> bool:
+    """True for an integer >= 1; a bool is not a count."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic counter-based generator (Philox) for a 64-bit seed.
 

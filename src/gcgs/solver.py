@@ -29,7 +29,9 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .numerics import EvaluationError, golden_section_min
+from .numerics import EvaluationError, golden_section_min, is_count
+
+STEP_RULES = ("exact", "armijo", "fixed")
 
 # Directions shorter than this are treated as numerical fixed points.
 _TINY_STEP = 1e-14
@@ -119,12 +121,9 @@ class SolverConfig:
     ``residual_tol`` activates the problem-specific residual stopping
     rule when the objective defines one (e.g. the projected fixed-point
     residual of the constrained elastic-net solvers). Both tolerances
-    must be finite and nonnegative. The Armijo rule takes the largest
-    step in {1, 0.5, 0.25, ...} with sufficient decrease 1e-4;
-    :func:`solve` warm-starts each search at the last accepted step (see
-    :func:`step_armijo`), which for convex ``F`` gives the same steps as
-    scanning down from 1 every time, except where rounding of ``F``
-    decides the test.
+    must be finite and nonnegative. ``step_rule`` is one of
+    ``STEP_RULES``; :func:`solve` starts each Armijo search
+    (:func:`step_armijo`) at the last accepted step.
     """
 
     step_rule: str = "exact"
@@ -133,9 +132,9 @@ class SolverConfig:
     residual_tol: Optional[float] = None
 
     def __post_init__(self):
-        if self.step_rule not in ("exact", "armijo", "fixed"):
+        if self.step_rule not in STEP_RULES:
             raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if not is_count(self.max_iter):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         # an infinite tolerance would stop every run at iteration 0
         if not 0.0 <= self.gap_tol < math.inf:  # also rejects NaN
@@ -199,17 +198,14 @@ def step_exact(obj: SplitObjective, x: np.ndarray, dx: np.ndarray) -> float:
 
 
 def step_armijo(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
-                grad_F_x: np.ndarray, f_ref: Optional[float] = None,
-                start: float = 1.0) -> tuple:
+                grad_F_x: np.ndarray, f_ref: float, start: float = 1.0) -> tuple:
     """Largest step in {1, 0.5, 0.25, ...} with sufficient decrease.
 
     Accepts ``a`` when ``F(x + a dx) <= f_ref + 1e-4 * a * <grad_F, dx>``,
-    where ``f_ref`` defaults to ``F(x)`` (a caller that holds ``F(x)``, or
-    a nonmonotone reference value, passes it); raises :class:`StallError`
-    below 2**-50, which signals a non-descent direction or numerical
-    breakdown. Returns ``(a, x + a dx, F(x + a dx))``: the accepted
-    trial point, read-only, and the value the test computed there, so a
-    caller can step to it without evaluating ``F`` again.
+    with ``f_ref`` the caller's ``F(x)`` or a nonmonotone reference, and
+    raises :class:`StallError` below 2**-50 (a non-descent direction or
+    numerical breakdown). Returns ``(a, x + a dx, F(x + a dx))``, the
+    point read-only, so a caller can step to it without evaluating ``F``.
 
     ``start``, a step of the same grid (typically the previous accepted
     step), warm-starts the search. The first trial is at ``start``; when
@@ -226,8 +222,6 @@ def step_armijo(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
     mantissa, exponent = math.frexp(start)
     if mantissa != 0.5 or not -49 <= exponent <= 1:
         raise ValueError(f"start must be 2**-j with 0 <= j <= 50, got {start!r}")
-    if f_ref is None:
-        f_ref = obj.value(x)
     slope = float(np.vdot(grad_F_x, dx))
 
     def trial(a):

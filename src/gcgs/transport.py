@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import as_matrix, convex_min_unit, make_rng
+from .numerics import as_matrix, convex_min_unit, is_count, make_rng
 from .solver import SplitObjective, cg_adapter, iterate_cache
 
 # Output plans and entropy-gradient arguments are floored here.
@@ -172,19 +172,22 @@ def laplacian_reg(gamma: np.ndarray, problem: TransportProblem) -> float:
     """Value of the position-preserving Laplacian regularizer."""
     if problem.lambda_lap == 0.0:
         return 0.0
-    A = gamma @ problem.Xt
-    B = gamma.T @ problem.Xs
+    A, B = gamma @ problem.Xt, gamma.T @ problem.Xs
     return (float(np.sum(A * (problem.lap_s @ A)))
             + float(np.sum(B * (problem.lap_t @ B))))
 
 
 def laplacian_reg_grad(gamma: np.ndarray, problem: TransportProblem) -> np.ndarray:
-    """Gradient of :func:`laplacian_reg` with respect to the plan."""
+    """Gradient of :func:`laplacian_reg`, ``2 Ls A Xt^T + 2 Xs (Lt B)^T``.
+
+    It reuses the value's plan images ``A`` and ``B``, so no Laplacian
+    multiplies the plan itself.
+    """
     if problem.lambda_lap == 0.0:
         return np.zeros_like(gamma)
-    Ls, Lt = problem.lap_s, problem.lap_t
-    Xs, Xt = problem.Xs, problem.Xt
-    return 2.0 * ((Ls @ gamma @ Xt) @ Xt.T) + 2.0 * (Xs @ (Xs.T @ (gamma @ Lt)))
+    A, B = gamma @ problem.Xt, gamma.T @ problem.Xs
+    return (2.0 * ((problem.lap_s @ A) @ problem.Xt.T)
+            + 2.0 * (problem.Xs @ (problem.lap_t @ B).T))
 
 
 def ot_objective(gamma: np.ndarray, problem: TransportProblem) -> float:
@@ -221,7 +224,7 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     if not 0.0 < sinkhorn_tol < math.inf:  # also rejects NaN
         raise ValueError(
             f"sinkhorn_tol must be finite and positive, got {sinkhorn_tol!r}")
-    if not isinstance(sinkhorn_max_iter, (int, np.integer)) or sinkhorn_max_iter < 1:
+    if not is_count(sinkhorn_max_iter):
         raise ValueError(
             f"sinkhorn_max_iter must be an integer >= 1, got {sinkhorn_max_iter!r}")
     state = {"potentials": None}
@@ -350,7 +353,7 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
     for name, value in (("lambda_ent", lambda_ent), ("tol", tol)):
         if not 0.0 < value < math.inf:  # also rejects NaN
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+    if not is_count(max_iter):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     # zero-mass rows and columns get no plan mass: scale on the support,
     # a view when there are none (fancy indexing copies)
@@ -767,8 +770,8 @@ def knn_laplacian(X: np.ndarray, k: int) -> np.ndarray:
     """
     X = as_matrix(X)
     n = X.shape[0]
-    if not (1 <= k < n):
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if not (is_count(k) and k < n):
+        raise ValueError(f"need an integer 1 <= k < n, got k={k!r}, n={n}")
     sq = np.sum(X * X, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.fill_diagonal(d2, np.inf)

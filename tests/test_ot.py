@@ -497,8 +497,8 @@ class TestSinkhorn:
         with pytest.raises(ValueError, match="shape"):
             sinkhorn(np.zeros((3, 2)), a, a, 0.5)
         # a cap below one sweep used to raise ConvergenceError, a float
-        # cap a bare TypeError
-        for max_iter in (0, -3, 2.5, "10", None):
+        # cap a bare TypeError, and True ran as a cap of 1
+        for max_iter in (0, -3, 2.5, "10", None, True):
             with pytest.raises(ValueError, match="max_iter must be an integer"):
                 sinkhorn(cost, a, a, 0.5, max_iter=max_iter)
         assert sinkhorn(cost, a, a, 0.5, max_iter=np.int64(1)).shape == (2, 2)
@@ -989,9 +989,29 @@ class TestEntropyAndLaplacian:
         Ls, Lt = problem.lap_s, problem.lap_t
         Xs, Xt = problem.Xs, problem.Xt
         gamma = make_rng(3).random((5, 4))
-        expected = (((Ls + Ls.T) @ gamma @ Xt) @ Xt.T
-                    + Xs @ (Xs.T @ (gamma @ (Lt + Lt.T))))
+        expected = (((Ls + Ls.T) @ (gamma @ Xt)) @ Xt.T
+                    + Xs @ ((Lt + Lt.T) @ (gamma.T @ Xs)).T)
         assert np.array_equal(laplacian_reg_grad(gamma, problem), expected)
+
+    @pytest.mark.parametrize("ns,nt", [(5, 4), (30, 20), (17, 40), (100, 100)])
+    def test_laplacian_reg_grad_matches_the_plan_product_chain(self, ns, nt):
+        # the reference applies the Laplacians to the plan itself,
+        # 2 Ls gamma Xt Xt^T + 2 Xs Xs^T gamma Lt; 100x100 is the size
+        # and the cluster geometry of the bench's transport instance
+        Xs, Xt, mu_s, mu_t = make_cluster_data(ns, nt, seed=ns + nt)
+        k = min(10, ns - 1, nt - 1)
+        problem = TransportProblem(
+            cost=squared_distances(Xs, Xt), mu_s=mu_s, mu_t=mu_t,
+            lambda_ent=1.7e-2, lambda_lap=1e3, lap_s=knn_laplacian(Xs, k),
+            lap_t=knn_laplacian(Xt, k), Xs=Xs, Xt=Xt)
+        Ls, Lt = problem.lap_s, problem.lap_t
+        gamma = make_rng(ns * nt).random((ns, nt)) / (ns * nt)
+        chain = 2.0 * ((Ls @ gamma @ Xt) @ Xt.T) + 2.0 * (Xs @ (Xs.T @ (gamma @ Lt)))
+        grad = laplacian_reg_grad(gamma, problem)
+        assert np.max(np.abs(grad - chain)) <= 1e-13 * np.max(np.abs(chain))
+        symmetrized = (((Ls + Ls.T) @ (gamma @ Xt)) @ Xt.T
+                       + Xs @ ((Lt + Lt.T) @ (gamma.T @ Xs)).T)
+        assert np.array_equal(grad, symmetrized)
 
     def test_laplacian_reg_nonnegative(self):
         problem = self._laplacian_problem()
@@ -1119,10 +1139,10 @@ class TestGraphsAndData:
 
     def test_knn_k_validation(self):
         X = np.zeros((4, 2))
-        with pytest.raises(ValueError, match="k"):
-            knn_laplacian(X, 0)
-        with pytest.raises(ValueError, match="k"):
-            knn_laplacian(X, 4)
+        # True used to build the 1-NN graph, 2.5 to raise a bare TypeError
+        for k in (0, 4, True, 2.5):
+            with pytest.raises(ValueError, match="k"):
+                knn_laplacian(X, k)
 
     def test_cluster_data_deterministic(self):
         first = make_cluster_data(9, 12, seed=5)
@@ -1206,7 +1226,7 @@ class TestSplitObjectives:
         for tol in (0.0, -1e-9, np.nan, np.inf):
             with pytest.raises(ValueError, match="sinkhorn_tol must be finite"):
                 ot_split(problem, sinkhorn_tol=tol)
-        for max_iter in (0, 2.5):
+        for max_iter in (0, 2.5, True):
             with pytest.raises(ValueError, match="sinkhorn_max_iter must be an integer"):
                 ot_split(problem, sinkhorn_max_iter=max_iter)
 

@@ -181,14 +181,14 @@ class TestSteps:
         obj = ridge_on_ball(lam=1e-8)  # essentially linear objective
         x = np.zeros(2)
         d = np.array([0.0, 1.0])  # slope -2 direction
-        assert step_armijo(obj, x, d, obj.f_grad(x))[0] == 1.0
+        assert step_armijo(obj, x, d, obj.f_grad(x), obj.value(x))[0] == 1.0
 
     def test_armijo_backtracks(self):
         # F = x^2, x=1, d=-4, slope -8: alpha=1 gives F(-3)=9, alpha=0.5
         # gives F(-1)=1 (no strict decrease); alpha=0.25 lands at 0
         obj = interval_quadratic()
         a, point, value = step_armijo(obj, np.array([1.0]), np.array([-4.0]),
-                                      np.array([2.0]))
+                                      np.array([2.0]), obj.value(np.array([1.0])))
         assert a == 0.25
         # the accepted trial point and its objective, read-only
         assert point.tolist() == [0.0] and value == 0.0
@@ -197,7 +197,8 @@ class TestSteps:
     def test_armijo_stalls_on_ascent(self):
         obj = interval_quadratic()
         with pytest.raises(StallError):
-            step_armijo(obj, np.array([0.5]), np.array([1.0]), np.array([1.0]))
+            step_armijo(obj, np.array([0.5]), np.array([1.0]), np.array([1.0]),
+                        obj.value(np.array([0.5])))
 
     @pytest.mark.parametrize("start,trials", [
         (1.0, [1.0, 0.5, 0.25]),
@@ -224,7 +225,7 @@ class TestSteps:
         obj = interval_quadratic()
         with pytest.raises(ValueError, match="start"):
             step_armijo(obj, np.array([1.0]), np.array([-4.0]),
-                        np.array([2.0]), start=start)
+                        np.array([2.0]), obj.value(np.array([1.0])), start=start)
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(data=st.data())
@@ -296,8 +297,8 @@ class TestSteps:
             partial_oracle=lambda x, g: x)
         x, dx = np.array([0.651497783107514]), np.array([-0.1])
         g = obj.grad(x)
-        assert step_armijo(obj, x, dx, g)[0] == 1.0
-        assert step_armijo(obj, x, dx, g, start=2.0 ** -50)[0] == 2.0 ** -50
+        assert step_armijo(obj, x, dx, g, obj.value(x))[0] == 1.0
+        assert step_armijo(obj, x, dx, g, obj.value(x), start=2.0 ** -50)[0] == 2.0 ** -50
         assert obj.value(x + 2.0 ** -49 * dx) > obj.value(x)  # rounding
         # a reference above F(x) by more than its rounding accepts the
         # whole bracket, and the warm start is exact again
@@ -407,8 +408,9 @@ class TestSolve:
         for bad in (-1e-3, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="residual_tol must be finite"):
                 SolverConfig(residual_tol=bad)
-        with pytest.raises(ValueError, match="max_iter"):
-            SolverConfig(max_iter=2.5)
+        for bad in (2.5, True):  # True used to run as max_iter=1
+            with pytest.raises(ValueError, match="max_iter must be an integer"):
+                SolverConfig(max_iter=bad)
 
 
 class TestIterateCache:
