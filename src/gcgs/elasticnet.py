@@ -174,7 +174,7 @@ def l1_lmo(grad_F: np.ndarray, tau: float) -> np.ndarray:
     g = float(grad_F[i])
     if not math.isfinite(g):
         raise ValueError("vector contains non-finite entries")
-    s = np.zeros_like(grad_F)
+    s = np.zeros(grad_F.shape)
     if g == 0.0:
         s[0] = tau
     else:

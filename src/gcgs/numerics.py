@@ -99,7 +99,7 @@ def golden_section_min(phi) -> float:
     return best_x
 
 
-def convex_min_unit(dphi) -> float:
+def convex_min_unit(dphi, start=None) -> float:
     """Minimize a convex function over [0, 1] from its first two derivatives.
 
     ``dphi(a)`` returns ``(phi'(a), phi''(a))``. Returns 0 when
@@ -108,11 +108,15 @@ def convex_min_unit(dphi) -> float:
     ``[lo, hi]`` with ``phi'(lo) < 0 < phi'(hi)``, shrunk on the sign of
     every new slope; a Newton point outside the bracket, or a curvature
     that is not finite and positive, is replaced by the bisection point.
-    A Newton step below 5e-13 is lengthened by 5e-13, so a converged
-    search ends with a bracket across the root. Stops at ``phi' = 0`` or
-    at a bracket width of 1e-12 (at most 100 steps). A NaN endpoint
-    slope, or a non-finite one inside (0, 1), raises
-    :class:`EvaluationError`.
+    The search starts at 0, or at ``start`` when that lies inside
+    (0, 1): the start's slope then shrinks the bracket before the first
+    Newton step. Any other ``start``, NaN included, is ignored. A start
+    near the root spares the steps that a steep slope at 0 takes to
+    leave it; the result moves only within the tolerance. A Newton step
+    below 5e-13 is lengthened by 5e-13, so a converged search ends with
+    a bracket across the root. Stops at ``phi' = 0`` or at a bracket
+    width of 1e-12 (at most 100 steps). A NaN endpoint slope, or a
+    non-finite one inside (0, 1), raises :class:`EvaluationError`.
     """
     def ev(a):
         slope, curv = dphi(a)
@@ -126,13 +130,17 @@ def convex_min_unit(dphi) -> float:
     if ev(1.0)[0] <= 0.0:
         return 1.0
     lo, hi, a = 0.0, 1.0, 0.0
+    first = float(start) if start is not None and 0.0 < start < 1.0 else None
     for _ in range(_NEWTON_MAX_ITER):
-        step = slope / curv if 0.0 < curv < math.inf else math.nan
-        if abs(step) <= 0.5 * _NEWTON_TOL:
-            # a converged Newton step overshoots by half the tolerance,
-            # so the next slope closes the bracket if the root is there
-            step += math.copysign(0.5 * _NEWTON_TOL, step)
-        a = a - step if lo < a - step < hi else 0.5 * (lo + hi)
+        if first is not None:
+            a, first = first, None
+        else:
+            step = slope / curv if 0.0 < curv < math.inf else math.nan
+            if abs(step) <= 0.5 * _NEWTON_TOL:
+                # a converged Newton step overshoots by half the tolerance,
+                # so the next slope closes the bracket if the root is there
+                step += math.copysign(0.5 * _NEWTON_TOL, step)
+            a = a - step if lo < a - step < hi else 0.5 * (lo + hi)
         slope, curv = ev(a)
         if slope == 0.0:
             break

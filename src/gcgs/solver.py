@@ -168,14 +168,17 @@ class SolveResult:
 
 
 def surrogate_gap(x: np.ndarray, s: np.ndarray, grad_f: np.ndarray,
-                  obj: SplitObjective) -> float:
+                  obj: SplitObjective, g_x: Optional[float] = None) -> float:
     """Certified suboptimality bound at ``x`` given the oracle output ``s``.
 
     Returns ``-[<grad_f, s - x> + g(s) - g(x)]``, which is nonnegative
     whenever ``s`` minimizes the bracket and bounds ``F(x) - F(x*)`` from
-    above. Invariant to adding a constant to ``g``.
+    above. Invariant to adding a constant to ``g``. ``g_x``, when given,
+    is ``g(x)`` as the caller already formed it.
     """
-    bracket = float(np.vdot(grad_f, s - x)) + obj.g_eval(s) - obj.g_eval(x)
+    if g_x is None:
+        g_x = obj.g_eval(x)
+    bracket = float(np.vdot(grad_f, s - x)) + obj.g_eval(s) - g_x
     return -bracket
 
 
@@ -210,14 +213,18 @@ def step_armijo(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
     ``start``, a step of the same grid (typically the previous accepted
     step), warm-starts the search. The first trial is at ``start``; when
     it is accepted the step doubles while the doubled step is accepted,
-    up to 1. When it is rejected the search scans down from 1, as it
-    does for ``start=1``, skipping the trial already made. For convex
-    ``F`` the accepted steps form an interval ``[0, a_max]``, also under
-    a nonmonotone ``f_ref >= F(x)``, so every ``start`` returns the step
-    of the scan from 1. Where rounding makes acceptance non-monotone (an
-    ``F`` flat to its last bits) the two may differ; restarting from 1
-    on rejection, rather than halving below ``start``, keeps a rejected
-    warm start from locking the search onto tiny steps.
+    up to 1. When it is rejected the next trial is one notch below, at
+    ``start / 2``, which is returned if accepted; only when that is
+    rejected too does the search scan down from 1, as it does for
+    ``start=1``, skipping the two trials already made. For convex ``F``
+    the accepted steps form an interval ``[0, a_max]``, also under a
+    nonmonotone ``f_ref >= F(x)``, so every ``start`` returns the step
+    of the scan from 1 and makes no more trials than a scan that
+    skipped only ``start``. Where rounding makes acceptance non-monotone
+    (an ``F`` flat to its last bits) the two may differ, and a scan that
+    finds a step above ``start`` costs one trial more. Restarting from 1
+    after the notch below, rather than halving further, keeps a rejected
+    warm start from locking the search onto tiny steps at that floor.
     """
     mantissa, exponent = math.frexp(start)
     if mantissa != 0.5 or not -49 <= exponent <= 1:
@@ -241,9 +248,14 @@ def step_armijo(obj: SplitObjective, x: np.ndarray, dx: np.ndarray,
                 break
             step = wider
         return step
+    below = 0.5 * start
+    if below >= 2.0 ** -50:
+        step = trial(below)
+        if step is not None:
+            return step
     alpha = 1.0
     while alpha >= 2.0 ** -50:
-        if alpha != start:
+        if alpha != start and alpha != below:
             step = trial(alpha)
             if step is not None:
                 return step
@@ -340,9 +352,10 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
     re-raised as :class:`OracleError` with the iteration index.
 
     ``grad F = grad f + grad g`` is formed once per iterate and feeds
-    the residual, the policy direction and the Armijo rule. An Armijo
-    step moves to the accepted trial point and keeps the objective the
-    search computed there, so ``F`` is evaluated once per point. Every
+    the residual, the policy direction and the Armijo rule; ``g(x)``
+    likewise feeds both the gap and the objective. An Armijo step moves
+    to the accepted trial point and keeps the objective the search
+    computed there, so ``F`` is evaluated once per point. Every
     iterate is a read-only array, which lets an objective cache work at
     a point across its callables (see :func:`iterate_cache`);
     ``x_final`` is writeable again. A direction ``policy`` replaces the
@@ -369,9 +382,10 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
             s = obj.partial_oracle(x, grad_f)
         except Exception as err:
             raise OracleError(k, err) from err
-        gap = surrogate_gap(x, s, grad_f, obj)
+        g_x = obj.g_eval(x)
+        gap = surrogate_gap(x, s, grad_f, obj, g_x)
         if objective is None:
-            objective = obj.value(x)
+            objective = obj.f_eval(x) + g_x
         if not math.isfinite(objective):
             raise EvaluationError(f"non-finite objective at iteration {k}")
         grad_F = grad_f if obj.g_grad is None else grad_f + obj.g_grad(x)

@@ -215,7 +215,12 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     (:func:`~gcgs.numerics.convex_min_unit`) on the slope adds the
     entropy's ``lambda_ent * sum(d * (1 + log(gamma + a d)))``, one
     ``log`` over the moving entries per step. That slope is infinite
-    where an entry of the plan reaches zero at an end of the chord.
+    where an entry of the plan reaches zero at an end of the chord, and
+    near-zero entries make its curvature at ``a = 0`` so large that
+    Newton steps from 0 crawl; the search therefore starts at the
+    quadratic's own minimizer ``-c1 / (2 c2)`` (when ``c2 > 0`` and that
+    lies inside (0, 1)), which needs no state, so the step stays a pure
+    function of ``(gamma, d)``.
     With ``warm_start`` the oracle reuses its previous scaling
     potentials; such an objective holds per-solve state and must not be
     shared across concurrent solves. ``sinkhorn_tol`` must be finite and
@@ -263,7 +268,8 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
             return (c1 + 2.0 * c2 * a + lam * entropy_slope,
                     2.0 * c2 + lam * entropy_curv)
 
-        return convex_min_unit(dphi)
+        start = -c1 / (2.0 * c2) if c2 > 0.0 else None
+        return convex_min_unit(dphi, start)
 
     return SplitObjective(
         f_eval=f_eval,
@@ -788,13 +794,18 @@ def make_cluster_data(ns: int, nt: int, n_clusters: int = 3,
 
     Source points sit in ``n_clusters`` Gaussian blobs; the target blobs
     are a rotated and shifted copy of the source centers with fresh
-    noise. Deterministic for a given seed.
+    noise. Deterministic for a given seed. ``ns``, ``nt`` and
+    ``n_clusters`` must be integers >= 1 with ``n_clusters <= min(ns,
+    nt)``, and ``noise`` finite and nonnegative.
 
     Returns
     -------
     (Xs, Xt, mu_s, mu_t)
     """
-    if not (1 <= n_clusters <= min(ns, nt)):
+    for name, n in (("ns", ns), ("nt", nt), ("n_clusters", n_clusters)):
+        if not is_count(n):
+            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+    if n_clusters > min(ns, nt):
         raise ValueError("need 1 <= n_clusters <= min(ns, nt)")
     if not 0.0 <= noise < math.inf:
         raise ValueError(f"noise must be finite and nonnegative, got {noise!r}")

@@ -6,6 +6,7 @@ against which the other test modules check every analytic gradient.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcgs.numerics import (EvaluationError, as_matrix, as_vector,
                            convex_min_unit, golden_section_min, make_rng)
@@ -158,6 +159,68 @@ class TestConvexMinUnit:
 
     def test_returns_python_float(self):
         assert type(convex_min_unit(lambda a: (np.float64(a - 0.5), 1.0))) is float
+        assert type(convex_min_unit(lambda a: (np.float64(a - 0.5), 1.0),
+                                    np.float64(0.25))) is float
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_property_any_start_inside_gives_the_same_minimizer(self, data):
+        # the families above, with drawn parameters and known minimizers;
+        # roots may also lie outside [0, 1], where both searches return
+        # the endpoint. Each search ends within the 1e-12 tolerance of
+        # the minimizer (a converged one 5e-13 past it), so two searches
+        # that close in from opposite sides can be 1e-12 apart
+        num = dict(allow_nan=False, allow_infinity=False)
+        root = data.draw(st.floats(-0.5, 1.5, **num), label="root")
+        family = data.draw(st.sampled_from(
+            ["quadratic", "exponential", "steep log", "kinked"]), label="family")
+        if family == "quadratic":
+            c = 10.0 ** data.draw(st.floats(-3.0, 3.0, **num), label="log10 c")
+            dphi = lambda a: (c * (a - root), c)
+        elif family == "exponential":
+            # phi(a) = exp(k a) - k exp(k root) a
+            k = data.draw(st.floats(0.1, 10.0, **num), label="k")
+            dphi = lambda a: (k * (np.exp(k * a) - np.exp(k * root)),
+                              k * k * np.exp(k * a))
+        elif family == "steep log":
+            # phi'(a) = log((floor + a) / target): curvature 1 / floor at 0
+            floor = 10.0 ** data.draw(st.floats(-300.0, -1.0, **num), label="log10 floor")
+            target = abs(root) + 1e-3
+            dphi = lambda a: (float(np.log((floor + a) / target)), 1.0 / (floor + a))
+            root = target - floor
+        else:
+            left = 10.0 ** data.draw(st.floats(-2.0, 2.0, **num), label="log10 left")
+            dphi = lambda a: ((left if a < root else 1.0) * (a - root),
+                              left if a < root else 1.0)
+        start = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          label="start")
+        minimizer = min(max(root, 0.0), 1.0)
+        for found in (convex_min_unit(dphi), convex_min_unit(dphi, start)):
+            assert abs(found - minimizer) <= 1e-12
+
+    @pytest.mark.parametrize("start", [None, 0.0, 1.0, -0.5, 1.5, np.nan, np.inf])
+    def test_start_outside_the_open_unit_interval_is_ignored(self, start):
+        def record(points):
+            return lambda a: points.append(a) or (3.0 * np.exp(3.0 * a) - 6.0,
+                                                  9.0 * np.exp(3.0 * a))
+
+        plain, started = [], []
+        assert convex_min_unit(record(started), start) == convex_min_unit(record(plain))
+        assert started == plain
+
+    def test_start_inside_is_the_first_point_after_the_endpoints(self):
+        # phi(a) = exp(3a) - 6a, minimized at log(2) / 3
+        points = []
+        dphi = lambda a: points.append(a) or (3.0 * np.exp(3.0 * a) - 6.0,
+                                              9.0 * np.exp(3.0 * a))
+        a = convex_min_unit(dphi, 0.25)
+        assert points[:3] == [0.0, 1.0, 0.25]
+        assert abs(a - np.log(2.0) / 3.0) <= 1e-12
+        # a start at the root stops there
+        points.clear()
+        assert convex_min_unit(lambda a: points.append(a) or (2.0 * (a - 0.375), 2.0),
+                               0.375) == 0.375
+        assert points == [0.0, 1.0, 0.375]
 
 
 class TestFiniteDiff:

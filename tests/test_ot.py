@@ -1172,6 +1172,12 @@ class TestGraphsAndData:
     def test_cluster_data_validation(self):
         with pytest.raises(ValueError, match="n_clusters"):
             make_cluster_data(2, 9, n_clusters=3)
+        # True and 2.5 used to raise a TypeError or IndexError naming no argument
+        for name in ("ns", "nt", "n_clusters"):
+            for bad in (True, 2.5, 0):
+                args = {"ns": 9, "nt": 9, "n_clusters": 3, name: bad}
+                with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+                    make_cluster_data(**args)
         for noise in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match="noise must be finite"):
                 make_cluster_data(9, 9, noise=noise)
@@ -1281,6 +1287,32 @@ class TestSplitObjectives:
                        SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=4))
         assert len(result.trace) >= 3 and len(calls) == len(result.trace)
         assert all(0.0 < r.alpha for r in result.trace[:-1])
+
+    def test_exact_step_starts_newton_at_the_quadratic_minimizer(self, monkeypatch):
+        # 15 cgs steps on the acceptance suite's 100x100 instance from its
+        # Sinkhorn start. Newton from 0 took 137 slope evaluations here
+        # (7-11 a step, the two endpoints included): near-zero plan
+        # entries make the entropy's curvature at 0 huge. Started at the
+        # minimizer of the cost-plus-Laplacian quadratic it takes 90
+        import gcgs.transport
+        from test_acceptance import _full_scale_problem
+        slopes, starts = [], []
+        newton = gcgs.transport.convex_min_unit
+
+        def counted(dphi, start=None):
+            starts.append(start)
+            return newton(lambda a: slopes.append(a) or dphi(a), start)
+
+        monkeypatch.setattr(gcgs.transport, "convex_min_unit", counted)
+        problem = _full_scale_problem(seed=0)
+        x0 = sinkhorn(problem.cost, problem.mu_s, problem.mu_t, problem.lambda_ent,
+                      tol=1e-5, max_iter=50000)
+        result = solve(ot_split(problem, sinkhorn_tol=1e-5, sinkhorn_max_iter=50000,
+                                warm_start=True),
+                       x0, SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=15))
+        assert len(starts) == 15 and all(0.0 < a < 1.0 for a in starts)
+        assert len(slopes) <= 100
+        assert all(0.0 < r.alpha < 1.0 for r in result.trace[:-1])
 
     def test_gradient_of_a_changed_plan_is_fresh(self):
         problem = self._cluster_problem()

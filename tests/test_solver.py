@@ -43,13 +43,18 @@ def armijo_evaluations(alphas, warm=True):
     first one, and for all of them when ``warm`` is off). From
     ``start = 2^-m``, a search ending at ``2^-j`` with ``j <= m`` tries
     ``start`` and each doubling up to ``2^-j``, then the rejected
-    ``2^-(j-1)`` unless ``j = 0``; with ``j > m``, ``start`` is rejected
-    and the scan from 1 down to ``2^-j`` skips it: ``j + 1`` trials.
+    ``2^-(j-1)`` unless ``j = 0``; with ``j = m + 1``, ``start`` is
+    rejected and the notch below it accepted: 2 trials; with ``j > m + 1``
+    both are rejected and the scan from 1 down to ``2^-j`` skips them:
+    ``j + 1`` trials.
     """
     total, m = 0, 0
     for alpha in alphas:
         j = round(-np.log2(alpha))
-        total += 1 + (m - j) + (j > 0) if j <= m else j + 1
+        if j <= m:
+            total += 1 + (m - j) + (j > 0)
+        else:
+            total += 2 if j == m + 1 else j + 1
         m = j if warm else 0
     return total
 
@@ -202,7 +207,7 @@ class TestSteps:
 
     @pytest.mark.parametrize("start,trials", [
         (1.0, [1.0, 0.5, 0.25]),
-        (0.5, [0.5, 1.0, 0.25]),  # rejected: the scan from 1 skips it
+        (0.5, [0.5, 0.25]),  # rejected: the notch below is accepted
         (0.25, [0.25, 0.5]),
         (0.125, [0.125, 0.25, 0.5]),
         (2.0 ** -10, [2.0 ** -j for j in range(10, 0, -1)]),
@@ -220,6 +225,19 @@ class TestSteps:
         assert tried == trials
         assert armijo_evaluations([start, a]) - armijo_evaluations([start]) == len(trials)
 
+    def test_armijo_rejected_notch_below_restarts_the_scan_from_1(self):
+        # F = x^2, x = 1, d = -16: only steps up to 1/16 are accepted, so
+        # from 1/2 the notch below fails too, and the scan from 1 skips
+        # both trials already made
+        obj = interval_quadratic()
+        f_eval, tried = obj.f_eval, []
+        obj.f_eval = lambda x: tried.append((x[0] - 1.0) / -16.0) or f_eval(x)
+        a = step_armijo(obj, np.array([1.0]), np.array([-16.0]), np.array([2.0]),
+                        f_ref=1.0, start=0.5)[0]
+        assert a == 0.0625
+        assert tried == [0.5, 0.25, 1.0, 0.125, 0.0625]
+        assert armijo_evaluations([0.5, a]) - armijo_evaluations([0.5]) == len(tried)
+
     @pytest.mark.parametrize("start", [0.3, 2.0, 2.0 ** -51, 0.0, -0.5, np.nan])
     def test_armijo_start_must_be_on_the_grid(self, start):
         obj = interval_quadratic()
@@ -232,10 +250,12 @@ class TestSteps:
     def test_armijo_start_never_changes_the_step_on_convex_chords(self, data):
         # F convex in 1-D: a quadratic, or a sum of logistic terms plus a
         # ridge, so every chord is convex and the accepted steps form an
-        # interval [0, a_max]. Every warm start returns the cold step
-        # wherever rounding cannot decide a trial: where the reference
-        # exceeds F(x), or the start's first-order decrease is, by far
-        # more than F's rounding error (1e-10 relative)
+        # interval [0, a_max]. Every warm start returns the cold step,
+        # and makes no more trials than the search that rescanned from 1
+        # right after a rejected start, wherever rounding cannot decide a
+        # trial: where the reference exceeds F(x), or the start's
+        # first-order decrease is, by far more than F's rounding error
+        # (1e-10 relative)
         num = dict(allow_nan=False, allow_infinity=False)
         if data.draw(st.booleans(), label="logistic"):
             size = data.draw(st.integers(1, 6), label="terms")
@@ -266,7 +286,28 @@ class TestSteps:
                            label="excess") * scale
         f_ref = fx + excess
 
+        # the trials of that older search, from the verdict on every step
+        slope = float(np.vdot(g, dx))
+        accepts = [obj.value(x + 2.0 ** -i * dx)
+                   <= f_ref + gcgs.solver._ARMIJO_SIGMA * 2.0 ** -i * slope
+                   for i in range(51)]
+
+        def rescan_trials(j):
+            if accepts[j]:
+                top = j
+                while top > 0 and accepts[top - 1]:
+                    top -= 1
+                return 1 + (j - top) + (top > 0)
+            rescan = [i for i in range(51) if i != j]
+            return 1 + next((n for n, i in enumerate(rescan, 1) if accepts[i]),
+                            len(rescan))
+
+        trials = []
+        f_eval = obj.f_eval
+        obj.f_eval = lambda x: trials.append(x) or f_eval(x)
+
         def search(start, direction, reference):
+            trials.clear()
             try:
                 return step_armijo(obj, x, direction, g, f_ref=reference, start=start)[0]
             except StallError:
@@ -276,6 +317,7 @@ class TestSteps:
         for j in range(51):
             if excess > 0.0 or 2.0 ** -j * abs(g[0]) * size >= 1e-10 * scale:
                 assert search(2.0 ** -j, dx, f_ref) == cold
+                assert len(trials) <= rescan_trials(j)
         # an ascent steep enough to show at the smallest step stalls
         # from every start
         ascent = np.sign(g) * 2.0 ** 60 * scale / abs(g)
