@@ -100,7 +100,8 @@ def negentropy(gamma: np.ndarray) -> float:
     gamma = np.asarray(gamma, dtype=np.float64)
     with np.errstate(invalid="ignore"):
         logs = np.log(gamma, out=np.zeros_like(gamma), where=gamma != 0)
-    return float(np.sum(gamma * logs))
+    logs *= gamma
+    return float(np.sum(logs))
 
 
 def negentropy_grad(gamma: np.ndarray) -> np.ndarray:
@@ -220,7 +221,10 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     Newton steps from 0 crawl; the search therefore starts at the
     quadratic's own minimizer ``-c1 / (2 c2)`` (when ``c2 > 0`` and that
     lies inside (0, 1)), which needs no state, so the step stays a pure
-    function of ``(gamma, d)``.
+    function of ``(gamma, d)``. When every entry of ``d`` moves, as on
+    a chord between two Sinkhorn plans on full marginals, the step reads
+    ``gamma`` and ``d`` through flat views instead of mask copies; every
+    slope evaluation writes into the same two scratch vectors.
     With ``warm_start`` the oracle reuses its previous scaling
     potentials; such an objective holds per-solve state and must not be
     shared across concurrent solves. ``sinkhorn_tol`` must be finite and
@@ -255,16 +259,20 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
         c1 = float(np.vdot(f_grad(gamma), d))
         c2 = problem.lambda_lap * laplacian_reg(d, problem)
         moving = d != 0.0
-        x, dm = gamma[moving], d[moving]
+        if moving.all():
+            x, dm = gamma.ravel(), d.ravel()
+        else:
+            x, dm = gamma[moving], d[moving]
+        y, buf = np.empty_like(dm), np.empty_like(dm)
         lam = problem.lambda_ent
 
         def dphi(a):
-            y = x + a * dm
+            np.add(np.multiply(dm, a, out=y), x, out=y)  # y = x + a d
             # y = 0 only at an end of the chord, where the slope is
             # +-inf; d / y * d stays NaN-free where d * d underflows
             with np.errstate(divide="ignore"):
-                entropy_slope = float(dm @ (1.0 + np.log(y)))
-                entropy_curv = float((dm / y) @ dm)
+                entropy_slope = float(dm @ np.add(np.log(y, out=buf), 1.0, out=buf))
+                entropy_curv = float(np.divide(dm, y, out=buf) @ dm)
             return (c1 + 2.0 * c2 * a + lam * entropy_slope,
                     2.0 * c2 + lam * entropy_curv)
 
@@ -302,14 +310,24 @@ def ot_cg_split(problem: TransportProblem, warm_start: bool = True) -> SplitObje
 # Sinkhorn-Knopp scaling
 # ---------------------------------------------------------------------------
 
-def _stabilized_kernel(log_kernel, f, g):
-    """Re-centred ``(K, f, g)`` with ``K = exp(log_kernel + f ⊕ g)``.
+def _log_kernel(cost, lambda_ent, out=None):
+    """``-cost / lambda_ent - 1``, written into ``out`` when given."""
+    L = np.negative(cost, out=out)
+    L /= lambda_ent
+    L -= 1.0
+    return L
 
+
+def _stabilized_kernel(L, f, g):
+    """Re-centred ``(K, f, g)`` with ``K = exp(L + f ⊕ g)``, in ``L``'s memory.
+
+    ``L`` holds a log-kernel and is overwritten: ``K`` is ``L`` itself.
     Every row of ``K`` peaks at 1 (a shift of ``f`` that the next row
     scaling undoes) and columns peaking below ``exp(-_ABSORB_BOUND)`` are
     lifted to it, so no row or column of ``K`` is zero.
     """
-    L = log_kernel + f[:, None] + g[None, :]
+    L += f[:, None]
+    L += g[None, :]
     shift = L.max(axis=1)
     L -= shift[:, None]
     lift = np.maximum(-_ABSORB_BOUND - L.max(axis=0), 0.0)
@@ -343,6 +361,13 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
     estimated again. A check sweep scales ``v`` plainly, so the columns
     are exact there and the row violation is the plan's violation.
 
+    A call holds one matrix the size of the support, which is the
+    log-kernel, then the kernel, then the plan: an absorption rewrites
+    the log-kernel from the cost into it, and the plan is the kernel
+    scaled in place (with zero marginals it is then copied into a
+    full-size plan). Arrays this large get fresh pages from the
+    allocator, so every further matrix would cost its page faults.
+
     Returns the plan, with entries floored at 1e-300, once its marginal
     violation (infinity norm) is at most ``tol``; after ``max_iter``
     sweeps (an integer >= 1) raises :class:`ConvergenceError` carrying
@@ -362,12 +387,15 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
     if not is_count(max_iter):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     # zero-mass rows and columns get no plan mass: scale on the support,
-    # a view when there are none (fancy indexing copies)
+    # a view when there are none (fancy indexing copies, and the copy
+    # becomes the buffer)
     rows, cols = a > 0, b > 0
     full = rows.all() and cols.all()
     support = np.s_[:, :] if full else np.ix_(rows, cols)
-    log_kernel = -cost_adj[support] / lambda_ent - 1.0
-    if not np.all(np.isfinite(log_kernel)):
+    K = cost_adj[support]
+    K = _log_kernel(K, lambda_ent, out=None if full else K)
+    # min and max are NaN if any entry is
+    if not (math.isfinite(K.min()) and math.isfinite(K.max())):
         raise ValueError("cost_adj / lambda_ent must be finite")
     if potentials is None:
         f, g = np.zeros(rows.sum()), np.zeros(cols.sum())
@@ -382,7 +410,7 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
                 "potentials must be finite where the marginals are positive")
     a_s, b_s = a[rows], b[cols]
 
-    K, f, g = _stabilized_kernel(log_kernel, f, g)
+    K, f, g = _stabilized_kernel(K, f, g)
     u, v = np.ones(f.size), np.ones(g.size)
     Kv = K.sum(axis=1)
     lu_ok = lv_ok = 0.0
@@ -417,17 +445,20 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
                 if max(np.max(np.abs(lu)), np.max(np.abs(lv))) <= _ABSORB_BOUND:
                     lu_ok, lv_ok = lu, lv
                     continue
-            K, f, g = _stabilized_kernel(log_kernel, f + lu, g + lv)
+            K, f, g = _stabilized_kernel(
+                _log_kernel(cost_adj[support], lambda_ent, out=K), f + lu, g + lv)
             u, v = np.ones(f.size), np.ones(g.size)
             Kv = K.sum(axis=1)
             lu_ok = lv_ok = 0.0
         else:
             raise ConvergenceError(viol, max_iter)
 
-    gamma = np.maximum(u[:, None] * K * v[None, :], _PLAN_FLOOR)
+    K *= u[:, None]
+    K *= v[None, :]
+    gamma = np.maximum(K, _PLAN_FLOOR, out=K)
     if not full:
-        gamma, on_support = np.full(cost_adj.shape, _PLAN_FLOOR), gamma
-        gamma[support] = on_support
+        gamma = np.full(cost_adj.shape, _PLAN_FLOOR)
+        gamma[support] = K
     if not return_potentials:
         return gamma
     pots = (np.full(a.size, -np.inf), np.full(b.size, -np.inf))

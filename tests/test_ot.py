@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -472,8 +473,25 @@ class TestSinkhorn:
     def test_input_validation(self):
         a = uniform_histogram(2)
         cost = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="finite"):
-            sinkhorn(np.array([[0.0, np.inf], [0.0, 0.0]]), a, a, 0.5)
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sinkhorn(np.array([[0.0, bad], [0.0, 0.0]]), a, a, 0.5)
+        # a finite cost whose quotient by lambda_ent overflows
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            sinkhorn(np.array([[0.0, 1e300], [0.0, 0.0]]), a, a, 1e-10)
+        # only the support is checked: a NaN on a zero-mass row is never
+        # read, one on the support raises
+        zero_row = np.array([0.0, 1.0])
+        for i, accepted in ((0, True), (1, False)):
+            nan_row = np.zeros((2, 2))
+            nan_row[i, 1] = np.nan
+            if accepted:
+                plan = sinkhorn(nan_row, zero_row, a, 0.5)
+                assert plan[0].tolist() == [1e-300, 1e-300]
+                assert marginal_violation(plan, zero_row, a) <= 1e-9
+            else:
+                with pytest.raises(ValueError, match="finite"):
+                    sinkhorn(nan_row, zero_row, a, 0.5)
         # one NaN is rejected up front, not after the sweep cap
         nan_cost = make_rng(29).random((50, 50))
         nan_cost[17, 3] = np.nan
@@ -919,6 +937,73 @@ def test_solves_load_no_scipy_module():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+def nn_peak(fn, n):
+    """``fn()``'s tracemalloc peak in units of one n x n float64 array."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Peak memory of the n x n work, pinned at 300 x 300.
+
+    Arrays this large get fresh pages from the allocator, so each extra
+    n x n temporary costs its page faults on every call (README
+    "Numerical notes"). The comments give the peak measured with one
+    Sinkhorn buffer, then the peak before it.
+    """
+
+    n = 300
+
+    def _instance(self):
+        Xs, Xt, a, b = make_cluster_data(self.n, self.n, seed=0)
+        return squared_distances(Xs, Xt), a, b
+
+    @pytest.mark.parametrize("lam, absorbs", [(0.1, False), (2e-3, True)],
+                             ids=["cold", "absorbing"])
+    def test_full_support_sinkhorn_holds_one_buffer(self, monkeypatch, lam, absorbs):
+        # 1.14 at lambda 0.1, 1.15 at 2e-3 (4.14 with separate log-kernel,
+        # kernel, product and plan)
+        import gcgs.transport
+        cost, a, b = self._instance()
+        kernels = []
+        build = gcgs.transport._stabilized_kernel
+        monkeypatch.setattr(gcgs.transport, "_stabilized_kernel",
+                            lambda *args: kernels.append(None) or build(*args))
+        peak = nn_peak(lambda: sinkhorn(cost, a, b, lam, tol=1e-5,
+                                        max_iter=50000), self.n)
+        assert (len(kernels) > 1) == absorbs  # one build, plus absorptions
+        assert peak <= 1.25
+
+    def test_sinkhorn_with_zero_mass_rows_fills_the_plan_from_its_buffer(self):
+        # 2.22: the support copy is the buffer, plus the returned plan (4.21)
+        cost, a, b = self._instance()
+        a[:3] = 0.0
+        a /= a.sum()
+        peak = nn_peak(lambda: sinkhorn(cost, a, b, 0.01, tol=1e-5,
+                                        max_iter=50000), self.n)
+        assert peak <= 2.25
+
+    def test_exact_step_holds_two_flat_vectors(self):
+        # 2.13: two scratch vectors and the moving-entry mask (4.13 with
+        # masked copies of the chord and per-slope temporaries)
+        cost, a, b = self._instance()
+        x = sinkhorn(cost, a, b, 0.1, tol=1e-5)
+        d = sinkhorn(cost, a, b, 0.01, tol=1e-5) - x
+        assert np.all(d != 0.0)  # the view path
+        split = ot_split(TransportProblem(cost, a, b, lambda_ent=0.01))
+        assert nn_peak(lambda: split.exact_step(x, d), self.n) <= 2.25
+
+    def test_negentropy_holds_one_array(self):
+        # 1.13: the logs and the zero mask (2.00 with a separate product)
+        cost, a, b = self._instance()
+        x = sinkhorn(cost, a, b, 0.1, tol=1e-5)
+        assert nn_peak(lambda: negentropy(x), self.n) <= 1.25
 
 
 class TestEntropyAndLaplacian:
@@ -1437,7 +1522,13 @@ class TestSplitObjectives:
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(data=st.data())
     def test_property_chord_step(self, data):
-        """Steps between a Sinkhorn plan and a vertex, zero-mass marginals."""
+        """Steps from a Sinkhorn plan to a vertex or a second plan.
+
+        Marginals may have zero entries. Two plans share the 1e-300 floor
+        there, so such a chord holds those entries still and the step
+        reads the moving ones through a mask; a chord that moves every
+        entry is read through views.
+        """
         r, c = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
         weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
 
@@ -1460,13 +1551,20 @@ class TestSplitObjectives:
                          Xs=Xs, Xt=Xt)
         problem = TransportProblem(matrix((r, c), 0.0, 1.0), a, b,
                                    lambda_ent=lambda_ent, **graph)
-        try:
-            plan = sinkhorn(matrix((r, c), 0.0, 1.0), a, b,
-                            data.draw(st.floats(0.05, 1.0)), tol=1e-9)
-        except ConvergenceError:
-            assume(False)
-        vertex, _ = transport_lmo(matrix((r, c), 0.0, 1.0), a, b)
-        x, s = (plan, vertex) if data.draw(st.booleans()) else (vertex, plan)
+
+        def entropic_plan():
+            try:
+                return sinkhorn(matrix((r, c), 0.0, 1.0), a, b,
+                                data.draw(st.floats(0.05, 1.0)), tol=1e-9)
+            except ConvergenceError:
+                assume(False)
+
+        plan = entropic_plan()
+        if data.draw(st.booleans()):
+            other = entropic_plan()
+        else:
+            other, _ = transport_lmo(matrix((r, c), 0.0, 1.0), a, b)
+        x, s = (plan, other) if data.draw(st.booleans()) else (other, plan)
         d = s - x
         assume(np.any(d))
 
