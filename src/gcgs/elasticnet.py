@@ -122,7 +122,9 @@ def project_l1(v: np.ndarray, tau: float) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D array, got shape {v.shape}")
     mag = abs(v)
-    total = float(mag.sum())
+    # summed in units of 2^64, so the sum cannot overflow and warn; a
+    # power-of-two scale commutes with rounding, so the total keeps its bytes
+    total = float(np.multiply(mag, 2.0 ** -64).sum()) * 2.0 ** 64
     if not math.isfinite(total) and not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     if total <= tau:

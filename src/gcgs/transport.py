@@ -40,6 +40,17 @@ _ABSORB_BOUND = 100.0
 # the plain contraction tends to 1, and a fixed weight of 1.8 already
 # left one warm `gcgs ot` call at the sweep cap.
 _MAX_WEIGHT = 1.8
+# Sinkhorn's Newton finish (_newton_step): a check switches to Newton
+# steps once the violation is at most _NEWTON_BELOW and the sweeps, at
+# the rate since the last check, would need more than _NEWTON_AFTER more
+# to reach tol. Conjugate gradients stop at relative residual _CG_RTOL;
+# the step is halved from 1 down to _NEWTON_MIN_STEP until the dual rises
+# by _NEWTON_SIGMA times its predicted rise.
+_NEWTON_BELOW = 1e-3
+_NEWTON_AFTER = 20
+_CG_RTOL = 0.3
+_NEWTON_SIGMA = 1e-4
+_NEWTON_MIN_STEP = 1.0 / 64.0
 
 # Auction pricing of the assignment path's start (_auction_prices): eps
 # shrinks by _AUCTION_SHRINK per phase from the reduced spread over that
@@ -335,6 +346,69 @@ def _stabilized_kernel(L, f, g):
     return np.exp(L, out=L), f - shift, g + lift
 
 
+def _newton_step(K, u, v, Kv, a, b, budget):
+    """One damped Newton step on the entropic dual, from exact columns.
+
+    In the log-scalings ``(alpha, beta)`` the dual has gradient
+    ``(a - P 1, b - P^T 1)`` and Hessian ``-[[diag(P 1), P], [P^T,
+    diag(P^T 1)]]`` (Brauer, Clason, Lorenz & Wirth 2017). Exact columns
+    zero the second block of the gradient, so eliminating ``beta``
+    leaves ``S x = a - r`` with ``r = P 1`` and
+    ``S = diag(r) - P diag(1/b) P^T``. Conjugate gradients preconditioned
+    by ``diag(r)`` solve it to a relative residual of ``_CG_RTOL``; an
+    iteration makes one kernel product pair, ``K^T (u x)`` and
+    ``K (v^2 / b ...)``, on vectors. The step ``t x`` starts at ``t = 1``
+    and is halved while the dual after a plain ``v`` sweep rises by less
+    than ``_NEWTON_SIGMA t <a - r, x>``. That rise is formed from the
+    columns' change ``v K^T (u expm1(t x))``, one product per trial, so
+    it keeps its digits near the optimum. An accepted step ends with the
+    plain ``v`` sweep, so the columns are exact again.
+
+    Makes at most ``2 budget`` kernel products. Returns the new
+    ``(u, v, K v)``, or None when no step raises the dual, and the number
+    of products made.
+    """
+    limit = 2 * budget - 3  # room for one trial and the closing sweep
+    r = u * Kv
+    grad = a - r
+    vb = v * v / b
+    x = np.zeros(r.size)
+    res = grad.copy()
+    z = res / r
+    p = z.copy()
+    rz = float(res @ z)
+    stop = _CG_RTOL ** 2 * rz
+    products = 0
+    while products + 2 <= limit:
+        Sp = r * p - u * (K @ (vb * (K.T @ (u * p))))
+        products += 2
+        pSp = float(p @ Sp)
+        if not pSp > 0.0:  # S is only semidefinite; rounding can do this
+            break
+        alpha = rz / pSp
+        x += alpha * p
+        res -= alpha * Sp
+        z = res / r
+        rz, rz_old = float(res @ z), rz
+        if rz <= stop:
+            break
+        p *= rz / rz_old
+        p += z
+    slope, ax = float(grad @ x), float(a @ x)
+    t = 1.0
+    while slope > 0.0 and t >= _NEWTON_MIN_STEP and products < limit:
+        ex = np.expm1(t * x)
+        dc = v * (K.T @ (u * ex))
+        products += 1
+        gain = t * ax - float(b @ np.log1p(dc / b))
+        if _NEWTON_SIGMA * t * slope <= gain < math.inf:
+            u = u * (1.0 + ex)
+            v = b / (K.T @ u)
+            return (u, v, K @ v), products + 2
+        t *= 0.5
+    return None, products
+
+
 def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
              tol: float = 1e-9, max_iter: int = 10000, potentials=None,
              return_potentials: bool = False):
@@ -361,17 +435,31 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
     estimated again. A check sweep scales ``v`` plainly, so the columns
     are exact there and the row violation is the plan's violation.
 
+    Late sweeps can contract at nearly 1, so the loop finishes with
+    Newton steps on the dual (:func:`_newton_step`; Brauer, Clason,
+    Lorenz & Wirth 2017). A check switches to them once its violation
+    is at most 1e-3 and the sweeps would need more than 20 further ones
+    to reach ``tol`` at the rate since the previous check (or the
+    violation did not fall). A Newton step costs
+    one kernel product pair per conjugate-gradient iteration, one
+    product per line-search trial and the pair of its closing plain
+    ``v`` sweep, and every step is checked. A step that finds no ascent,
+    a rollback and an absorption return the loop to sweeps until the
+    switch rule holds again.
+
     A call holds one matrix the size of the support, which is the
     log-kernel, then the kernel, then the plan: an absorption rewrites
     the log-kernel from the cost into it, and the plan is the kernel
     scaled in place (with zero marginals it is then copied into a
-    full-size plan). Arrays this large get fresh pages from the
-    allocator, so every further matrix would cost its page faults.
+    full-size plan). The Newton steps work on vectors only. Arrays this
+    large get fresh pages from the allocator, so every further matrix
+    would cost its page faults.
 
     Returns the plan, with entries floored at 1e-300, once its marginal
     violation (infinity norm) is at most ``tol``; after ``max_iter``
-    sweeps (an integer >= 1) raises :class:`ConvergenceError` carrying
-    the achieved violation. Warm ``potentials`` from a previous call,
+    sweeps (an integer >= 1; a product pair of a Newton step counts as
+    one) raises :class:`ConvergenceError` carrying the achieved
+    violation. Warm ``potentials`` from a previous call,
     shaped (r,) and (c,) and finite where the marginals are positive,
     are re-centred by a max-shift. ``return_potentials`` also returns
     the final ``(f, g)``, which are ``-inf`` at zero marginals.
@@ -393,7 +481,8 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
     full = rows.all() and cols.all()
     support = np.s_[:, :] if full else np.ix_(rows, cols)
     K = cost_adj[support]
-    K = _log_kernel(K, lambda_ent, out=None if full else K)
+    with np.errstate(over="ignore"):  # an overflow is caught just below
+        K = _log_kernel(K, lambda_ent, out=None if full else K)
     # min and max are NaN if any entry is
     if not (math.isfinite(K.min()) and math.isfinite(K.max())):
         raise ValueError("cost_adj / lambda_ent must be finite")
@@ -416,42 +505,61 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
     lu_ok = lv_ok = 0.0
     viol = last = np.inf
     w = 1.0
+    sweeps, due, newton = 0, _CHECK_EVERY, False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for sweep in range(1, max_iter + 1):
-            check = sweep % _CHECK_EVERY == 0 or sweep == max_iter
-            u_plain = a_s / Kv
-            u = u_plain if w == 1.0 else u * (u_plain / u) ** w
-            v_plain = b_s / (K.T @ u)
-            # plain on check sweeps, so the columns are exact there
-            v = v_plain if w == 1.0 or check else v * (v_plain / v) ** w
-            Kv = K @ v
-            if not check:
-                continue
-            lu, lv = np.log(u), np.log(v)
-            if not (np.all(np.isfinite(lu)) and np.all(np.isfinite(lv))):
-                lu, lv = lu_ok, lv_ok
-                w, last = 1.0, np.inf
+        while True:
+            if newton:
+                step, products = _newton_step(K, u, v, Kv, a_s, b_s,
+                                              max_iter - sweeps)
+                sweeps += (products + 1) // 2  # a product pair counts as a sweep
+                if step is None:  # no ascent: back to plain sweeps
+                    newton, w, last = False, 1.0, np.inf
+                else:
+                    u, v, Kv = step
             else:
+                sweeps += 1
+                u_plain = a_s / Kv
+                u = u_plain if w == 1.0 else u * (u_plain / u) ** w
+                v_plain = b_s / (K.T @ u)
+                # plain on check sweeps, so the columns are exact there
+                check = sweeps >= due or sweeps >= max_iter
+                v = v_plain if w == 1.0 or check else v * (v_plain / v) ** w
+                Kv = K @ v
+                if not check:
+                    continue
+            due = sweeps + _CHECK_EVERY
+            lu, lv = np.log(u), np.log(v)
+            finite = np.all(np.isfinite(lu)) and np.all(np.isfinite(lv))
+            if finite:
                 viol = float(np.max(np.abs(u * Kv - a_s)))
                 if viol <= tol:
                     break
-                if viol >= last:  # not falling: plain again, then re-estimate
+            if sweeps >= max_iter:
+                raise ConvergenceError(viol, max_iter)
+            if not finite:
+                lu, lv = lu_ok, lv_ok
+                w, last, newton = 1.0, np.inf, False
+            elif not newton:
+                if viol <= _NEWTON_BELOW and last < np.inf and (
+                        viol >= last or _CHECK_EVERY * math.log(tol / viol)
+                        < _NEWTON_AFTER * math.log(viol / last)):
+                    newton = True  # slow near the end: Newton steps next
+                elif viol >= last:  # not falling: plain again, then re-estimate
                     w, last = 1.0, np.inf
                 else:
                     if w == 1.0 and last < np.inf:
                         q = (viol / last) ** (1.0 / _CHECK_EVERY)
                         w = min(2.0 / (1.0 + math.sqrt(1.0 - q)), _MAX_WEIGHT)
                     last = viol
-                if max(np.max(np.abs(lu)), np.max(np.abs(lv))) <= _ABSORB_BOUND:
-                    lu_ok, lv_ok = lu, lv
-                    continue
+            if finite and max(np.max(np.abs(lu)), np.max(np.abs(lv))) <= _ABSORB_BOUND:
+                lu_ok, lv_ok = lu, lv
+                continue
             K, f, g = _stabilized_kernel(
                 _log_kernel(cost_adj[support], lambda_ent, out=K), f + lu, g + lv)
             u, v = np.ones(f.size), np.ones(g.size)
             Kv = K.sum(axis=1)
             lu_ok = lv_ok = 0.0
-        else:
-            raise ConvergenceError(viol, max_iter)
+            newton = False  # until sweeps make the columns exact again
 
     K *= u[:, None]
     K *= v[None, :]

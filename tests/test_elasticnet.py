@@ -214,11 +214,13 @@ class TestProjectL1:
                 == project_l1_sorting_reference(v, tau).tobytes())
 
     @pytest.mark.parametrize("v, tau", [
-        ([1e20, 1e20], 1.0), ([1e17, 3.0], 1.0), ([1e308, -1e308, 1.0], 2.0)])
+        ([1e20, 1e20], 1.0), ([1e17, 3.0], 1.0), ([1e308, -1e308, 1.0], 2.0),
+        ([1e308, 1e308], 1.0)])
     def test_rounding_and_overflow_extremes(self, v, tau):
         # tau below half an ulp of max|v| rejects every threshold, and
-        # |v|_1 overflows in the last case
-        with np.errstate(over="ignore"):
+        # |v|_1 overflows in the last two cases, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             p = project_l1(np.array(v), tau)
         assert_l1_projection(np.array(v), tau, p)
 
@@ -228,9 +230,7 @@ class TestProjectL1:
                st.sampled_from([0.0, 1e20, -1e20, 1e308, -1e308, 3.0]))),
            tau=st.one_of(st.floats(1e-3, 1e3), st.floats(1e-300, 1e300)))
     def test_property_projection_at_any_magnitude(self, v, tau):
-        with np.errstate(over="ignore"):
-            p = project_l1(v, tau)
-        assert_l1_projection(v, tau, p)
+        assert_l1_projection(v, tau, project_l1(v, tau))
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(v=hnp.arrays(np.float64, st.integers(1, 20), elements=st.floats(-1e3, 1e3)),
