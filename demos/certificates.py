@@ -48,10 +48,10 @@ def gap_bounds_suboptimality():
 
 
 def _spy_oracle(split, pairs):
-    def oracle(x, grad_f):
-        s = split.partial_oracle(x, grad_f)
+    def oracle(x, grad_f, warm):
+        s, warm = split.partial_oracle(x, grad_f, warm)
         pairs.append((x.copy(), s.copy()))
-        return s
+        return s, warm
     return SplitObjective(
         f_eval=split.f_eval, f_grad=split.f_grad,
         g_eval=split.g_eval, g_grad=split.g_grad,
@@ -82,7 +82,8 @@ def splitting_gap_is_sharper():
     for k, (x, s_cg) in enumerate(pairs):
         gap_cg = surrogate_gap(x, s_cg, cg.f_grad(x), cg)
         grad_f = cgs.f_grad(x)
-        gap_cgs = surrogate_gap(x, cgs.partial_oracle(x, grad_f), grad_f, cgs)
+        gap_cgs = surrogate_gap(x, cgs.partial_oracle(x, grad_f, None)[0],
+                                grad_f, cgs)
         print(f"   {k:>5}  {gap_cg:>12.4e}  {gap_cgs:>13.4e}  "
               f"{gap_cgs / gap_cg if gap_cg > 0 else float('nan'):>6.3f}")
 

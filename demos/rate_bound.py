@@ -29,7 +29,7 @@ def quadratic_over_l1_ball(coeffs, tau):
         f_grad=lambda x: 2.0 * coeffs * x,
         g_eval=lambda x: 0.0,
         g_grad=None,
-        partial_oracle=lambda x, gf: l1_lmo(gf, tau))
+        partial_oracle=lambda x, gf, warm: (l1_lmo(gf, tau), None))
 
 
 def rate_contrast():

@@ -245,7 +245,7 @@ def en_split(problem: ElasticNetProblem) -> SplitObjective:
         f_grad=lambda x: loss_grad(problem, x, image(x)),
         g_eval=lambda x: lam * float(x @ x),
         g_grad=lambda x: 2.0 * lam * x,
-        partial_oracle=lambda x, gf: en_oracle(problem, x, gf),
+        partial_oracle=lambda x, gf, warm: (en_oracle(problem, x, gf), None),
         exact_step=exact_step,
         residual=lambda x, grad_F: fixed_point_residual(problem, x, grad_F),
     )

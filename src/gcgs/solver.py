@@ -56,21 +56,21 @@ class OracleError(RuntimeError):
 class SplitObjective:
     """Evaluators for one composite problem instance.
 
-    ``partial_oracle(x, grad_f)`` must return a feasible minimizer of
-    ``<grad_f, s> + g(s)`` over the feasible set. ``g_grad`` is ``None``
-    when ``g = 0``; ``grad f`` is then ``grad F`` itself. ``exact_step``, when
-    given, replaces the golden-section line search with a
-    problem-supplied 1-D minimizer;
-    ``residual(x, grad_F)``, given ``grad_F = grad f(x) + grad g(x)``, is
-    an optional problem-specific optimality measure recorded along the
-    trace and usable as a stopping rule.
+    ``partial_oracle(x, grad_f, warm)`` returns ``(s, warm)``: ``s`` a
+    feasible minimizer of ``<grad_f, s> + g(s)`` over the feasible set,
+    and opaque state that :func:`solve` hands the next call (``None`` to
+    the first). ``g_grad`` is ``None`` when ``g = 0``; ``grad f`` is then
+    ``grad F`` itself. ``exact_step``, when given, replaces golden-section
+    search with a problem-supplied 1-D minimizer. ``residual(x, grad_F)``,
+    ``grad_F = grad f(x) + grad g(x)``, is an optional problem-specific
+    optimality measure, traced and usable as a stopping rule.
     """
 
     f_eval: Callable[[np.ndarray], float]
     f_grad: Callable[[np.ndarray], np.ndarray]
     g_eval: Callable[[np.ndarray], float]
     g_grad: Optional[Callable[[np.ndarray], np.ndarray]]
-    partial_oracle: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    partial_oracle: Callable[[np.ndarray, np.ndarray, object], tuple]
     exact_step: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     residual: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
@@ -375,11 +375,12 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
     warm_start = policy is None or policy.warm_start
     alpha = 1.0
     objective = None  # F(x) when an Armijo search has computed it
+    warm = None
 
     for k in range(cfg.max_iter + 1):
         grad_f = obj.f_grad(x)
         try:
-            s = obj.partial_oracle(x, grad_f)
+            s, warm = obj.partial_oracle(x, grad_f, warm)
         except Exception as err:
             raise OracleError(k, err) from err
         g_x = obj.g_eval(x)
@@ -443,7 +444,7 @@ def cg_adapter(obj: SplitObjective, lmo: Callable[[np.ndarray], np.ndarray]) -> 
         f_grad=obj.grad,
         g_eval=lambda x: 0.0,
         g_grad=None,
-        partial_oracle=lambda x, grad_F: lmo(grad_F),
+        partial_oracle=lambda x, grad_F, warm: (lmo(grad_F), None),
         exact_step=obj.exact_step,  # minimizes the same F along chords
         residual=obj.residual,
     )
@@ -453,9 +454,10 @@ def check_fixed_point(obj: SplitObjective, x: np.ndarray) -> tuple:
     """Optimality diagnostics at ``x``: ``(gap, ||s - x||_inf)``.
 
     Both are near zero exactly at a minimizer; when the subproblem has
-    multiple minimizers only the gap component is conclusive.
+    multiple minimizers only the gap component is conclusive. The
+    oracle starts cold, and the ``warm`` it returns is dropped.
     """
     grad_f = obj.f_grad(x)
-    s = obj.partial_oracle(x, grad_f)
+    s, _ = obj.partial_oracle(x, grad_f, None)
     gap = surrogate_gap(x, s, grad_f, obj)
     return gap, float(np.max(np.abs(s - x)))

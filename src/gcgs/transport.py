@@ -236,10 +236,10 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     a chord between two Sinkhorn plans on full marginals, the step reads
     ``gamma`` and ``d`` through flat views instead of mask copies; every
     slope evaluation writes into the same two scratch vectors.
-    With ``warm_start`` the oracle reuses its previous scaling
-    potentials; such an objective holds per-solve state and must not be
-    shared across concurrent solves. ``sinkhorn_tol`` must be finite and
-    positive and ``sinkhorn_max_iter`` an integer >= 1.
+    With ``warm_start`` the oracle returns its scaling potentials as the
+    ``warm`` of a solve's next call. ``g`` is formed once per point of a
+    solve. ``sinkhorn_tol`` must be finite and positive and
+    ``sinkhorn_max_iter`` an integer >= 1.
     """
     if not 0.0 < sinkhorn_tol < math.inf:  # also rejects NaN
         raise ValueError(
@@ -247,7 +247,6 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     if not is_count(sinkhorn_max_iter):
         raise ValueError(
             f"sinkhorn_max_iter must be an integer >= 1, got {sinkhorn_max_iter!r}")
-    state = {"potentials": None}
 
     def f_eval(gamma):
         return (float(np.vdot(gamma, problem.cost))
@@ -257,14 +256,12 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     def f_grad(gamma):
         return problem.cost + problem.lambda_lap * laplacian_reg_grad(gamma, problem)
 
-    def oracle(gamma, grad_f):
+    def oracle(gamma, grad_f, warm):
         plan, pots = sinkhorn(
             grad_f, problem.mu_s, problem.mu_t, problem.lambda_ent,
             tol=sinkhorn_tol, max_iter=sinkhorn_max_iter,
-            potentials=state["potentials"], return_potentials=True)
-        if warm_start:
-            state["potentials"] = pots
-        return plan
+            potentials=warm, return_potentials=True)
+        return plan, pots if warm_start else None
 
     def exact_step(gamma, d):
         c1 = float(np.vdot(f_grad(gamma), d))
@@ -293,7 +290,7 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     return SplitObjective(
         f_eval=f_eval,
         f_grad=f_grad,
-        g_eval=lambda gamma: problem.lambda_ent * negentropy(gamma),
+        g_eval=iterate_cache(lambda gamma: problem.lambda_ent * negentropy(gamma)),
         g_grad=lambda gamma: problem.lambda_ent * negentropy_grad(
             np.maximum(gamma, _PLAN_FLOOR)),
         partial_oracle=oracle,
@@ -307,8 +304,8 @@ def ot_cg_split(problem: TransportProblem, warm_start: bool = True) -> SplitObje
     """Classic conditional gradient formulation of the same problem.
 
     Fully linearizes the objective of :func:`ot_split` and calls
-    :func:`transport_lmo` as linear minimization oracle, so the split
-    holds no state between calls. ``warm_start`` does nothing; it is
+    :func:`transport_lmo` as linear minimization oracle, which starts
+    every call cold and returns no ``warm``. ``warm_start`` does nothing; it is
     kept only for callers that still pass it (ROADMAP item 5 removes
     it). Vertices of the polytope carry exact zeros; the split's floored
     entropy gradient keeps the full gradient finite there.
@@ -660,8 +657,8 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t):
     # within 22.5 M; the factor left covers rounding. NaN fails the
     # test too. Rounding its at most 2 (r + c) additions leaves a
     # simplex reduced cost about 2 (r + c) eps M off, so the simplex
-    # stops once none is below -max(1e-11, 2 (r + c) eps M) and large
-    # costs do not pivot on noise.
+    # stops once none is below -2 (r + c) eps M: large costs do not
+    # pivot on noise, and tiny ones still pivot to their optimum.
     limit = sys.float_info.max / (8.0 * (r + c))
     if not np.abs(cost).max() <= limit:
         raise ValueError(f"cost must be finite and within {limit:.3e}, or its range overflows")
@@ -853,7 +850,7 @@ def _transport_simplex(cost, a, b):
     duals = np.array(pot)
     u, v = duals[:r], duals[r:]
     # rounding noise in a reduced cost (see transport_lmo) is not a descent
-    noise = max(1e-11, 2 * n * sys.float_info.epsilon * np.abs(cost).max())
+    noise = 2 * n * sys.float_info.epsilon * np.abs(cost).max()
     max_pivots = 4 * r * c + 1000
     for pivot in range(max_pivots + 1):
         reduced = cost - u[:, None]

@@ -43,10 +43,10 @@ def _spy(split):
     pairs = []
     base = split.partial_oracle
 
-    def oracle(x, grad_f):
-        s = base(x, grad_f)
+    def oracle(x, grad_f, warm):
+        s, warm = base(x, grad_f, warm)
         pairs.append((x.copy(), s.copy()))
-        return s
+        return s, warm
 
     spied = SplitObjective(
         f_eval=split.f_eval, f_grad=split.f_grad,
@@ -164,7 +164,7 @@ def test_03_splitting_certificate_dominates_full_linearization():
     for x, s_cg in pairs:
         gap_cg = surrogate_gap(x, s_cg, cg.f_grad(x), cg)
         grad_f = cgs.f_grad(x)
-        s_star = cgs.partial_oracle(x, grad_f)
+        s_star, _ = cgs.partial_oracle(x, grad_f, None)
         gap_cgs = surrogate_gap(x, s_star, grad_f, cgs)
         margins.append(gap_cg - gap_cgs)
     assert all(m >= -1e-12 for m in margins)
@@ -181,7 +181,7 @@ def _quadratic_over_l1_ball(coeffs, tau):
         f_grad=lambda x: 2.0 * coeffs * x,
         g_eval=lambda x: 0.0,
         g_grad=np.zeros_like,
-        partial_oracle=lambda x, gf: en.l1_lmo(gf, tau))
+        partial_oracle=lambda x, gf, warm: (en.l1_lmo(gf, tau), None))
 
 
 def test_04_fixed_step_rate_bound():

@@ -474,7 +474,7 @@ class TestCgSplit:
         problem = _small_problem(seed=18)
         split = en_cg_split(problem)
         x = np.zeros(12)
-        s = split.partial_oracle(x, split.f_grad(x))
+        s, _ = split.partial_oracle(x, split.f_grad(x), None)
         assert np.count_nonzero(s) == 1
         assert abs(np.abs(s).sum() - problem.tau) <= 1e-12
 
@@ -699,7 +699,7 @@ def plain_split(problem):
         f_grad=lambda x: loss_grad(problem, x),
         g_eval=lambda x: lam * float(x @ x),
         g_grad=lambda x: 2.0 * lam * x,
-        partial_oracle=lambda x, gf: project_l1(-gf / (2.0 * lam), tau),
+        partial_oracle=lambda x, gf, warm: (project_l1(-gf / (2.0 * lam), tau), None),
         exact_step=lambda x, d: en_split(problem).exact_step(x.copy(), d),
         residual=lambda x, grad_F: float(
             np.abs(project_l1(x - grad_F, tau) - x).max()),
@@ -786,7 +786,8 @@ class TestOnePointOnce:
         g_eval, oracle = split.g_eval, split.partial_oracle
         seen, points = [], []
         split.g_eval = lambda x: seen.append(x) or g_eval(x)
-        split.partial_oracle = lambda x, gf: points.extend((x, oracle(x, gf))) or points[-1]
+        split.partial_oracle = (lambda x, gf, warm: points.extend((x, oracle(x, gf, warm)[0]))
+                                or (points[-1], None))
         cfg = SolverConfig(step_rule="exact", gap_tol=0.0, residual_tol=1e-6,
                            max_iter=300)
         n = len(solve(split, np.zeros(6), cfg).trace)

@@ -28,8 +28,8 @@ from scipy.special import xlogy
 
 import gcgs
 from gcgs.numerics import golden_section_min, make_rng
-from gcgs.solver import (OracleError, SolverConfig, solve, step_exact,
-                         surrogate_gap)
+from gcgs.solver import (OracleError, SolverConfig, check_fixed_point, solve,
+                         step_exact, surrogate_gap)
 from gcgs.transport import (
     ConvergenceError,
     TransportProblem,
@@ -256,11 +256,12 @@ def transport_lmo_rebuild_reference(cost, a, b):
             excess[parent[node]] -= excess[node]
         return pot[:r], pot[r:], parent, edge, depth, flows
 
+    noise = 2 * (r + c) * sys.float_info.epsilon * np.abs(cost).max()
     for _ in range(4 * r * c + 1000):
         u, v, parent, edge, depth, flows = rooted(perturbed)
         reduced = cost - u[:, None] - v[None, :]
         ei, ej = divmod(int(np.argmin(reduced)), c)
-        if reduced[ei, ej] >= -1e-11:
+        if reduced[ei, ej] >= -noise:
             break
         sides, ends = ([], []), [ei, r + ej]
         while ends[0] != ends[1]:
@@ -714,6 +715,21 @@ class TestTransportLmo:
         assert (cost - u[:, None] - v[None, :]).min() >= -1e-9
         assert abs(primal - float(a @ u + b @ v)) <= 1e-9
 
+    def test_tiny_costs_reach_the_linprog_optimum(self):
+        # an absolute optimality floor of 1e-11 would stop the simplex
+        # above the optimum on 140 of these 155 instances; HiGHS solves
+        # the same costs scaled to 1
+        for seed in range(200):
+            rng = make_rng(seed)
+            r, c = (int(n) for n in rng.integers(2, 6, size=2))
+            if r == c:
+                continue
+            a, b = _hist(rng, r), _hist(rng, c)
+            cost = 1e-11 * rng.random((r, c))
+            gamma, _ = transport_lmo(cost, a, b)
+            _, lp_value = lmo_by_linprog(1e11 * cost, a, b)
+            assert 1e11 * float(np.vdot(gamma, cost)) <= lp_value + 1e-9
+
     @pytest.mark.parametrize("scale", [1e3, 1e5, 1e8, 1e12])
     def test_large_costs_do_not_pivot_on_rounding_noise(self, scale):
         # reduced costs carry rounding noise of about eps * max|cost|;
@@ -808,6 +824,16 @@ class TestAssignmentPath:
         lp_value = float(np.vdot(transport_lmo_rebuild_reference(cost, a, a), cost))
         assert abs(float(np.vdot(gamma, cost)) - lp_value) <= 1e-12
         self.assert_certified(cost, gamma, u, v)
+
+    def test_tiny_cost_matches_rebuild_reference(self):
+        # every reduced cost here is above an absolute -1e-11 floor, on
+        # which both simplexes would stop at the identity, value 5e-12
+        cost = np.array([[1e-11, 0.0], [0.0, 0.0]])
+        a = uniform_histogram(2)
+        for plan in (transport_lmo(cost, a, a)[0],
+                     transport_lmo_rebuild_reference(cost, a, a),
+                     gcgs.transport._transport_simplex(cost, a, a)[0]):
+            assert float(np.vdot(plan, cost)) == 0.0
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(kind=st.sampled_from(["continuous", "ties", "near_additive", "constant"]),
@@ -1388,7 +1414,7 @@ class TestSplitObjectives:
         problem = self._entropic_problem()
         split = ot_split(problem, sinkhorn_tol=1e-9)
         x = np.outer(problem.mu_s, problem.mu_t)
-        s = split.partial_oracle(x, split.f_grad(x))
+        s, _ = split.partial_oracle(x, split.f_grad(x), None)
         direct = sinkhorn(problem.cost, problem.mu_s, problem.mu_t,
                           problem.lambda_ent, tol=1e-9)
         np.testing.assert_array_equal(s, direct)
@@ -1523,6 +1549,35 @@ class TestSplitObjectives:
             monkeypatch, lambda: solve(make_split(problem), x0, cfg))
         assert min(rec.alpha for rec in result.trace[:-1]) < 1.0
 
+    def test_one_split_serves_a_probe_and_two_solves(self):
+        # the warm potentials travel through solve, not the split: a
+        # probe and an earlier solve leave a later solve as it runs on a
+        # fresh split
+        problem = self._cluster_problem()
+        x0 = np.outer(problem.mu_s, problem.mu_t)
+        cfg = SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=10)
+        make_split = lambda: ot_split(problem, sinkhorn_tol=1e-6, warm_start=True)
+        fresh = trace_bits(solve(make_split(), x0, cfg))
+        shared = make_split()
+        assert check_fixed_point(shared, x0) == check_fixed_point(make_split(), x0)
+        assert trace_bits(solve(shared, x0, cfg)) == fresh
+        assert trace_bits(solve(shared, x0, cfg)) == fresh
+
+    def test_armijo_run_forms_the_entropy_once_per_point(self, monkeypatch):
+        # the search forms g at the trial point it accepts, and that
+        # point's gap and objective at the next iterate reuse it
+        import gcgs.transport
+        points = []
+        monkeypatch.setattr(gcgs.transport, "negentropy",
+                            lambda g, _fn=negentropy: points.append(g) or _fn(g))
+        problem = self._cluster_problem(n=20, lambda_lap=10.0)
+        split = ot_split(problem, sinkhorn_tol=1e-6, warm_start=True)
+        result = solve(split, np.outer(problem.mu_s, problem.mu_t),
+                       SolverConfig(step_rule="armijo", gap_tol=0.0, max_iter=15))
+        assert len(result.trace) > 5
+        assert min(rec.alpha for rec in result.trace[:-1]) < 1.0
+        assert len({id(p) for p in points}) == len(points)
+
     def test_negative_raw_gap_has_its_own_termination(self):
         # the inexact Sinkhorn oracle at tol 1e-7 returns a raw gap of
         # about -1e-12 at iteration 4, which must not pass for a certified
@@ -1536,7 +1591,8 @@ class TestSplitObjectives:
         assert result.trace[-1].k == 4 and result.trace[-1].surrogate_gap == 0.0
         x = result.x_final
         grad_f = split.f_grad(x)
-        assert surrogate_gap(x, split.partial_oracle(x, grad_f), grad_f, split) < 0.0
+        s, _ = split.partial_oracle(x, grad_f, None)
+        assert surrogate_gap(x, s, grad_f, split) < 0.0
 
     @pytest.mark.parametrize("rule", ["exact", "armijo", "fixed"])
     def test_split_solves_start_from_a_vertex(self, rule):

@@ -19,7 +19,7 @@ def interval_quadratic():
         f_grad=lambda x: 2.0 * x,
         g_eval=lambda x: 0.0,
         g_grad=np.zeros_like,
-        partial_oracle=lambda x, g: np.array([-1.0 if g[0] > 0 else 1.0]),
+        partial_oracle=lambda x, g, warm: (np.array([-1.0 if g[0] > 0 else 1.0]), None),
     )
 
 
@@ -32,7 +32,7 @@ def ridge_on_ball(lam=1.0, tau=1.0, c=None):
         f_grad=lambda x: c.copy(),
         g_eval=lambda x: lam * float(x @ x),
         g_grad=lambda x: 2.0 * lam * x,
-        partial_oracle=lambda x, g: project_l1(-g / (2 * lam), tau),
+        partial_oracle=lambda x, g, warm: (project_l1(-g / (2 * lam), tau), None),
     )
 
 
@@ -105,10 +105,10 @@ def assert_chord_steps_agree(split, x0, max_iter):
     iterates = []
     oracle = golden.partial_oracle
 
-    def spied(x, grad_f):
-        s = oracle(x, grad_f)
+    def spied(x, grad_f, warm):
+        s, warm = oracle(x, grad_f, warm)
         iterates.append((x.copy(), s - x))
-        return s
+        return s, warm
 
     golden.partial_oracle = spied
     result = solve(golden, x0, SolverConfig(step_rule="exact", gap_tol=0.0,
@@ -136,7 +136,7 @@ class TestSurrogateGap:
         rng = make_rng(0)
         for _ in range(20):
             x = rng.uniform(-0.5, 0.5, 2)
-            s = obj.partial_oracle(x, obj.f_grad(x))
+            s, _ = obj.partial_oracle(x, obj.f_grad(x), None)
             assert surrogate_gap(x, s, obj.f_grad(x), obj) >= -1e-12
 
     def test_zero_at_fixed_point(self):
@@ -274,7 +274,7 @@ class TestSteps:
             f_grad = lambda x: c * (x - m)
         obj = SplitObjective(f_eval=f_eval, f_grad=f_grad,
                              g_eval=lambda x: 0.0, g_grad=np.zeros_like,
-                             partial_oracle=lambda x, g: x)
+                             partial_oracle=lambda x, g, warm: (x, None))
         x = np.array([data.draw(st.floats(-10.0, 10.0, **num), label="x")])
         g = obj.grad(x)
         assume(abs(g[0]) >= 1e-6)
@@ -336,7 +336,7 @@ class TestSteps:
             f_grad=lambda x: np.array([float(-(u @ expit(-(t + u * x[0])))
                                              + x[0])]),
             g_eval=lambda x: 0.0, g_grad=np.zeros_like,
-            partial_oracle=lambda x, g: x)
+            partial_oracle=lambda x, g, warm: (x, None))
         x, dx = np.array([0.651497783107514]), np.array([-0.1])
         g = obj.grad(x)
         assert step_armijo(obj, x, dx, g, obj.value(x))[0] == 1.0
@@ -395,7 +395,7 @@ class TestSolve:
             f_grad=lambda x: 2 * x,
             g_eval=lambda x: 0.0,
             g_grad=np.zeros_like,
-            partial_oracle=lambda x, g: x - 1e-16,
+            partial_oracle=lambda x, g, warm: (x - 1e-16, None),
         )
         res = solve(obj, np.array([0.4]), SolverConfig(gap_tol=0.0, max_iter=50))
         assert res.termination == "stalled"
@@ -412,9 +412,29 @@ class TestSolve:
         assert len(res.trace) > 2 and min(alphas) < 1.0
         assert len(evals) == 1 + armijo_evaluations(alphas)
 
+    def test_oracle_state_is_carried_from_call_to_call(self):
+        # the first call gets None and each later one what the call
+        # before returned; a probe starts cold and keeps nothing
+        obj = interval_quadratic()
+        oracle, received, returned = obj.partial_oracle, [], []
+
+        def spied(x, grad_f, warm):
+            received.append(warm)
+            returned.append(object())
+            return oracle(x, grad_f, None)[0], returned[-1]
+
+        obj.partial_oracle = spied
+        res = solve(obj, np.array([1.0]),
+                    SolverConfig(step_rule="fixed", gap_tol=0.0, max_iter=7))
+        assert len(res.trace) == len(received) == 8
+        assert received[0] is None
+        assert all(w is r for w, r in zip(received[1:], returned))
+        check_fixed_point(obj, res.x_final)
+        assert received[-1] is None
+
     def test_oracle_error_carries_iteration(self):
         obj = interval_quadratic()
-        obj.partial_oracle = lambda x, g: (_ for _ in ()).throw(ValueError("boom"))
+        obj.partial_oracle = lambda x, g, warm: (_ for _ in ()).throw(ValueError("boom"))
         with pytest.raises(OracleError) as err:
             solve(obj, np.array([1.0]), SolverConfig(max_iter=10))
         assert err.value.iteration == 0
