@@ -206,8 +206,8 @@ def en_split(problem: ElasticNetProblem) -> SplitObjective:
     per step, so each Newton step costs O(n) instead of O(nd).
 
     ``f_eval``, ``f_grad`` and ``exact_step`` share one ``Z @ x`` per
-    iterate of a :func:`~gcgs.solver.solve` run
-    (:func:`~gcgs.solver.iterate_cache`).
+    iterate of a :func:`~gcgs.solver.solve` run, and ``g`` is formed
+    once per point (:func:`~gcgs.solver.iterate_cache`).
     """
     lam = problem.lam
     image = iterate_cache(lambda x: problem.Z @ x)
@@ -243,7 +243,7 @@ def en_split(problem: ElasticNetProblem) -> SplitObjective:
     return SplitObjective(
         f_eval=lambda x: loss_eval(problem, x, image(x)),
         f_grad=lambda x: loss_grad(problem, x, image(x)),
-        g_eval=lambda x: lam * float(x @ x),
+        g_eval=iterate_cache(lambda x: lam * float(x @ x)),
         g_grad=lambda x: 2.0 * lam * x,
         partial_oracle=lambda x, gf, warm: (en_oracle(problem, x, gf), None),
         exact_step=exact_step,
@@ -278,7 +278,7 @@ def _projection_solve(policy_cls, name, problem, x0, cfg):
 def spg_solve(problem: ElasticNetProblem, x0, cfg: SolverConfig) -> SolveResult:
     """Spectral projected gradient with Barzilai-Borwein steps.
 
-    The trial point is P(x - alpha_bb * grad F(x)); a nonmonotone line
+    The trial point is P(x - a_bb * grad F(x)); a nonmonotone line
     search (reference value: max objective over the last 10 iterates)
     backtracks along the chord to the trial point. The spectral step is
     clipped to [1e-10, 1e10]. Stops on the fixed-point residual; see

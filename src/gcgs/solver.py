@@ -18,12 +18,13 @@ is a certified upper bound on F(x) - F(x*) and is the stopping criterion.
 The classic (fully linearized) conditional gradient is recovered through
 :func:`cg_adapter`; projected-gradient baselines run on the same loop as
 the direction policies :class:`ProjectedGradient` and
-:class:`SpectralProjectedGradient`.
+:class:`SpectralProjectedGradient`. Neither policies nor splits hold
+per-solve state: :func:`solve` carries the oracle's warm state, the
+previous iterate and the trace the nonmonotone reference is read from.
 """
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -275,66 +276,49 @@ class ProjectedGradient:
 
     Steps along ``d = P(x - grad F(x)) - x``, with ``P`` the Euclidean
     projection onto the feasible set, under the monotone Armijo rule.
-    The fixed-point residual ``||d||_inf`` is the convergence measure and
-    shares its projection with the direction; the surrogate gap is
-    recorded but does not stop the run. ``warm_start`` says whether the
-    Armijo search starts from the last accepted step.
+    ``||d||_inf``, the fixed-point residual, is the convergence measure.
+    The Armijo reference is the largest of the last ``window``
+    objectives; ``warm_start`` says whether the search starts from the
+    last accepted step. A policy holds no per-solve state (see
+    :func:`solve`), so one policy serves any number of solves.
     """
 
+    window = 1
     warm_start = True
 
     def __init__(self, project: Callable[[np.ndarray], np.ndarray]):
         self.project = project
-        self._d = None
 
-    def residual(self, x: np.ndarray, grad_F: np.ndarray) -> float:
-        """||P(x - grad F(x)) - x||_inf; keeps the projection for the step."""
-        self._d = self.project(x - grad_F) - x
-        return float(np.abs(self._d).max())
-
-    def direction(self, x: np.ndarray, grad_F: np.ndarray) -> np.ndarray:
-        """The direction of the iterate whose residual was last taken."""
-        return self._d
-
-    def reference(self, objective: float) -> float:
-        """Armijo reference value: the current objective."""
-        return objective
+    def direction(self, x: np.ndarray, grad_F: np.ndarray, d: np.ndarray,
+                  previous: Optional[tuple]) -> np.ndarray:
+        """The step from ``x``, given its ``d = P(x - grad F(x)) - x`` and
+        the previous iterate's ``(x, grad F)`` (``None`` at the start)."""
+        return d
 
 
 class SpectralProjectedGradient(ProjectedGradient):
     """Spectral projected gradient with Barzilai-Borwein steps.
 
     The direction is ``P(x - a grad F(x)) - x`` with ``a`` the
-    Barzilai-Borwein step ``<s, s> / <s, y>`` of the last move (1 at the
-    start, 1e10 when ``<s, y> <= 0``), clipped to [1e-10, 1e10]. The
-    Armijo rule is nonmonotone: its reference value is the largest
-    objective over the last 10 iterates. The spectral step rescales
-    every direction, so the search starts from the full step.
+    Barzilai-Borwein step ``<s, s> / <s, y>`` of the move from the
+    previous iterate (1 at the start, 1e10 when ``<s, y> <= 0``),
+    clipped to [1e-10, 1e10]. The Armijo rule is nonmonotone: its
+    reference value is the largest objective over the last 10 iterates
+    (Birgin, Martinez & Raydan 2000). The spectral step rescales every
+    direction, so the search starts from the full step.
     """
 
+    window = 10
     warm_start = False
 
-    def __init__(self, project: Callable[[np.ndarray], np.ndarray]):
-        super().__init__(project)
-        self.alpha_bb = 1.0
-        self._last = None  # (x, grad F) where the previous direction was taken
-        self._objectives = deque(maxlen=10)
-
-    def direction(self, x: np.ndarray, grad_F: np.ndarray) -> np.ndarray:
-        if self._last is not None:
-            sk = x - self._last[0]
-            yk = grad_F - self._last[1]
+    def direction(self, x, grad_F, d, previous):
+        a = 1.0
+        if previous is not None:
+            sk = x - previous[0]
+            yk = grad_F - previous[1]
             sy = float(sk @ yk)
-            if sy > 0.0:
-                self.alpha_bb = min(max(float(sk @ sk) / sy, 1e-10), 1e10)
-            else:
-                self.alpha_bb = 1e10
-        self._last = (x, grad_F)
-        return self.project(x - self.alpha_bb * grad_F) - x
-
-    def reference(self, objective: float) -> float:
-        self._objectives.append(objective)
-        return max(self._objectives)
+            a = min(max(float(sk @ sk) / sy, 1e-10), 1e10) if sy > 0.0 else 1e10
+        return self.project(x - a * grad_F) - x
 
 
 def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
@@ -358,10 +342,18 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
     computed there, so ``F`` is evaluated once per point. Every
     iterate is a read-only array, which lets an objective cache work at
     a point across its callables (see :func:`iterate_cache`);
-    ``x_final`` is writeable again. A direction ``policy`` replaces the
-    step toward the oracle output: the policy supplies the direction,
-    the residual and the Armijo reference value, the step rule is always
-    Armijo, and the gap is recorded without stopping the run.
+    ``x_final`` is writeable again.
+
+    A direction ``policy`` replaces the step toward the oracle output.
+    The step rule is then always Armijo, and the gap is recorded without
+    stopping the run. ``solve`` forms the fixed-point step
+    ``d = P(x - grad F) - x`` with the policy's projection ``P`` once per
+    iterate, traces ``||d||_inf`` as the residual and hands ``d`` and the
+    previous iterate's ``(x, grad F)`` to ``policy.direction``. The
+    Armijo reference is the largest objective over the last
+    ``policy.window`` records of the trace (the current objective on the
+    splitting path). All per-solve state lives here, so a policy or a
+    split reused for another solve gives a fresh one's trace.
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     x.flags.writeable = False
@@ -370,12 +362,11 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
     termination = "max_iter"
 
     step_rule = cfg.step_rule if policy is None else "armijo"
-    residual_fn = obj.residual if policy is None else policy.residual
-    use_residual = cfg.residual_tol is not None and residual_fn is not None
     warm_start = policy is None or policy.warm_start
+    window = 1 if policy is None else policy.window
     alpha = 1.0
     objective = None  # F(x) when an Armijo search has computed it
-    warm = None
+    warm = previous = None
 
     for k in range(cfg.max_iter + 1):
         grad_f = obj.f_grad(x)
@@ -390,7 +381,11 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
         if not math.isfinite(objective):
             raise EvaluationError(f"non-finite objective at iteration {k}")
         grad_F = grad_f if obj.g_grad is None else grad_f + obj.g_grad(x)
-        residual = residual_fn(x, grad_F) if residual_fn is not None else None
+        if policy is not None:
+            d = policy.project(x - grad_F) - x
+            residual = float(np.abs(d).max())
+        else:
+            residual = obj.residual(x, grad_F) if obj.residual is not None else None
         record = IterationRecord(
             k=k,
             objective=objective,
@@ -401,7 +396,8 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
         )
         trace.append(record)
 
-        if use_residual and residual <= cfg.residual_tol:
+        if (residual is not None and cfg.residual_tol is not None
+                and residual <= cfg.residual_tol):
             termination = "fp_residual"
             break
         if policy is None and gap <= cfg.gap_tol:
@@ -411,13 +407,14 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
             termination = "max_iter"
             break
 
-        dx = s - x if policy is None else policy.direction(x, grad_F)
+        dx = s - x if policy is None else policy.direction(x, grad_F, d, previous)
         if np.abs(dx).max() <= _TINY_STEP:
             termination = "stalled"
             break
 
+        previous = (x, grad_F)
         if step_rule == "armijo":
-            f_ref = objective if policy is None else policy.reference(objective)
+            f_ref = max(rec.objective for rec in trace[-window:])
             alpha, x, objective = step_armijo(obj, x, dx, grad_F, f_ref=f_ref,
                                               start=alpha if warm_start else 1.0)
         else:

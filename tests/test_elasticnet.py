@@ -42,6 +42,8 @@ from gcgs.elasticnet import (
     project_l1,
     spg_solve,
 )
+from gcgs.transport import (TransportProblem, knn_laplacian, make_cluster_data,
+                            ot_cg_split, ot_split, squared_distances)
 from test_numerics import finite_diff_grad
 from test_solver import (armijo_evaluations, assert_chord_steps_agree,
                          assert_cold_armijo_gives_the_same_run,
@@ -724,6 +726,20 @@ def run_with_recomputed_armijo_points(monkeypatch, run):
         return run()
 
 
+def spy_on_caches(monkeypatch):
+    """Log every value an ``iterate_cache`` of a split built next computes.
+
+    Patches ``elasticnet.iterate_cache``; returns the log of
+    ``(point, value)`` pairs, ``Z @ x`` images being arrays and ``g``
+    values floats.
+    """
+    log = []
+    iterate_cache = elasticnet.iterate_cache
+    monkeypatch.setattr(elasticnet, "iterate_cache", lambda fn: iterate_cache(
+        lambda x: log.append((x, fn(x))) or log[-1][1]))
+    return log
+
+
 class TestOnePointOnce:
     """Each point of a solve is evaluated once, and nothing goes stale."""
 
@@ -760,13 +776,11 @@ class TestOnePointOnce:
     @pytest.mark.parametrize("solver,rule", [
         ("cgs", "exact"), ("cg", "exact"), ("cgs", "armijo"), ("pg", "armijo")])
     def test_one_image_per_point(self, monkeypatch, solver, rule):
-        images = []
-        iterate_cache = elasticnet.iterate_cache
-        monkeypatch.setattr(elasticnet, "iterate_cache", lambda fn: iterate_cache(
-            lambda x: images.append(x) or fn(x)))
+        log = spy_on_caches(monkeypatch)
         problem = _small_problem(seed=16, d=6, loss="logistic", tau=1.5)
         result = self._run(problem, solver, rule, en_split)()
         monkeypatch.undo()
+        images = [x for x, value in log if isinstance(value, np.ndarray)]
         n = len(result.trace)
         assert n > 10
         if rule == "exact":
@@ -795,6 +809,23 @@ class TestOnePointOnce:
         for k in range(n):
             pair = {id(seen[2 * k]), id(seen[2 * k + 1])}
             assert pair == {id(points[2 * k]), id(points[2 * k + 1])}
+
+    @pytest.mark.parametrize("solver", ["cgs", "cg", "pg", "spg"])
+    def test_one_g_per_point_of_an_armijo_run(self, monkeypatch, solver):
+        # x0 and each Armijo trial once: g at an accepted trial serves the
+        # gap and the objective at the next iterate. The gap adds each
+        # oracle output, except under cg, whose g is the adapter's zero.
+        log = spy_on_caches(monkeypatch)
+        problem = _small_problem(seed=16, d=6, loss="logistic", tau=1.5)
+        result = self._run(problem, solver, "armijo", en_split)()
+        monkeypatch.undo()
+        points = [x for x, value in log if not isinstance(value, np.ndarray)]
+        n = len(result.trace)
+        alphas = [rec.alpha for rec in result.trace[:-1]]
+        trials = armijo_evaluations(alphas, warm=solver != "spg")
+        assert n > 10
+        assert len({id(x) for x in points}) == len(points)
+        assert len(points) == 1 + trials + (0 if solver == "cg" else n)
 
     @pytest.mark.parametrize("loss", LOSSES)
     def test_arrays_changed_in_place_get_fresh_values(self, loss):
@@ -847,6 +878,58 @@ class TestOnePointOnce:
         assert value == loss_eval(problem, x)
         x *= 0.5
         assert split.f_eval(x) == loss_eval(problem, x) != value
+
+
+class TestNoPerSolveState:
+    """Policies and splits hold no per-solve state; :func:`solve` does."""
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("policy_cls", [ProjectedGradient,
+                                            SpectralProjectedGradient])
+    def test_one_policy_serves_two_solves(self, loss, policy_cls):
+        problem = _small_problem(seed=28, tau=0.8, loss=loss)
+        cfg = SolverConfig(gap_tol=0.0, residual_tol=1e-6, max_iter=300)
+        make = lambda: policy_cls(lambda v: project_l1(v, problem.tau))
+        run = lambda policy: trace_bits(
+            solve(en_split(problem), np.zeros(12), cfg, policy=policy))
+        fresh = run(make())
+        shared = make()
+        assert run(shared) == fresh
+        assert run(shared) == fresh
+
+    @staticmethod
+    def _transport_problem():
+        Xs, Xt, mu_s, mu_t = make_cluster_data(8, 8, seed=3)
+        return TransportProblem(
+            cost=squared_distances(Xs, Xt), mu_s=mu_s, mu_t=mu_t,
+            lambda_ent=0.05, lambda_lap=1.0, lap_s=knn_laplacian(Xs, 3),
+            lap_t=knn_laplacian(Xt, 3), Xs=Xs, Xt=Xt)
+
+    @pytest.mark.parametrize("case", ["pg", "spg", "en_split", "en_cg_split",
+                                      "ot_split", "ot_cg_split"])
+    def test_a_solve_leaves_its_policy_or_split_as_it_was(self, case):
+        if case.startswith("ot"):
+            problem = self._transport_problem()
+            x0 = np.outer(problem.mu_s, problem.mu_t)
+            held = (ot_split(problem, sinkhorn_tol=1e-6, warm_start=True)
+                    if case == "ot_split" else ot_cg_split(problem))
+            cfg = SolverConfig(step_rule="exact", gap_tol=0.0, max_iter=5)
+            run = lambda: solve(held, x0, cfg)
+        else:
+            problem = _small_problem(seed=28, tau=0.8, loss="logistic")
+            x0 = np.zeros(12)
+            cfg = SolverConfig(step_rule="armijo", gap_tol=0.0,
+                               residual_tol=1e-6, max_iter=50)
+            if case in ("pg", "spg"):
+                held = (ProjectedGradient if case == "pg" else SpectralProjectedGradient)(
+                    lambda v: project_l1(v, problem.tau))
+                run = lambda: solve(en_split(problem), x0, cfg, policy=held)
+            else:
+                held = en_split(problem) if case == "en_split" else en_cg_split(problem)
+                run = lambda: solve(held, x0, cfg)
+        before = dict(vars(held))
+        assert len(run().trace) > 5
+        assert vars(held) == before
 
 
 class TestToyData:

@@ -7,7 +7,8 @@ from scipy.special import expit
 
 import gcgs.solver
 from gcgs.numerics import EvaluationError, make_rng
-from gcgs.solver import (OracleError, SolverConfig, SplitObjective, StallError,
+from gcgs.solver import (OracleError, SolverConfig, SpectralProjectedGradient,
+                         SplitObjective, StallError,
                          cg_adapter, check_fixed_point, iterate_cache, solve,
                          step_armijo, step_exact, step_fixed, surrogate_gap)
 
@@ -473,6 +474,26 @@ class TestSolve:
         for bad in (2.5, True):  # True used to run as max_iter=1
             with pytest.raises(ValueError, match="max_iter must be an integer"):
                 SolverConfig(max_iter=bad)
+
+
+class TestSpectralStep:
+    @pytest.mark.parametrize("s,y,step", [
+        (None, None, 1.0),              # the start
+        ([1.0, 0.0], [2.0, 0.0], 0.5),  # <s, s> / <s, y>
+        ([1.0, 0.0], [0.0, 1.0], 1e10),  # <s, y> = 0
+        ([1.0, 0.0], [-1.0, 0.0], 1e10),  # <s, y> < 0
+        ([1e-6, 0.0], [1e6, 0.0], 1e-10),  # clipped from 1e-12 below
+        ([1.0, 0.0], [1e-12, 0.0], 1e10),  # and from 1e12 above
+    ])
+    def test_step_is_a_function_of_the_previous_iterate(self, s, y, step):
+        projected = []
+        policy = SpectralProjectedGradient(lambda v: projected.append(v) or v + 1.0)
+        x, grad_F = np.array([0.5, -0.25]), np.array([0.75, 1.5])
+        previous = None if s is None else (x - s, grad_F - y)
+        for _ in range(2):  # the same arguments give the same direction
+            d = policy.direction(x, grad_F, None, previous)
+            np.testing.assert_array_equal(projected.pop(), x - step * grad_F)
+            np.testing.assert_array_equal(d, (x - step * grad_F + 1.0) - x)
 
 
 class TestIterateCache:
