@@ -51,7 +51,7 @@ def is_count(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
 
 
-def make_rng(seed: int) -> np.random.Generator:
+def make_rng(seed: int) -> "np.random.Generator":
     """Deterministic counter-based generator (Philox) for a 64-bit seed.
 
     The stream depends on the seed alone, so draws are reproducible

@@ -312,12 +312,11 @@ class SpectralProjectedGradient(ProjectedGradient):
     warm_start = False
 
     def direction(self, x, grad_F, d, previous):
-        a = 1.0
-        if previous is not None:
-            sk = x - previous[0]
-            yk = grad_F - previous[1]
-            sy = float(sk @ yk)
-            a = min(max(float(sk @ sk) / sy, 1e-10), 1e10) if sy > 0.0 else 1e10
+        if previous is None:
+            return d  # the step a = 1 is the fixed-point step itself
+        sk, yk = x - previous[0], grad_F - previous[1]
+        sy = float(sk @ yk)
+        a = min(max(float(sk @ sk) / sy, 1e-10), 1e10) if sy > 0.0 else 1e10
         return self.project(x - a * grad_F) - x
 
 

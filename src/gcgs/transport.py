@@ -236,9 +236,9 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     a chord between two Sinkhorn plans on full marginals, the step reads
     ``gamma`` and ``d`` through flat views instead of mask copies; every
     slope evaluation writes into the same two scratch vectors.
-    With ``warm_start`` the oracle returns its scaling potentials as the
-    ``warm`` of a solve's next call. ``g`` is formed once per point of a
-    solve. ``sinkhorn_tol`` must be finite and positive and
+    With ``warm_start`` the oracle returns its Sinkhorn column potential
+    as the ``warm`` of a solve's next call. ``g`` is formed once per
+    point of a solve. ``sinkhorn_tol`` must be finite and positive and
     ``sinkhorn_max_iter`` an integer >= 1.
     """
     if not 0.0 < sinkhorn_tol < math.inf:  # also rejects NaN
@@ -261,7 +261,7 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
             grad_f, problem.mu_s, problem.mu_t, problem.lambda_ent,
             tol=sinkhorn_tol, max_iter=sinkhorn_max_iter,
             potentials=warm, return_potentials=True)
-        return plan, pots if warm_start else None
+        return plan, pots[1] if warm_start else None
 
     def exact_step(gamma, d):
         c1 = float(np.vdot(f_grad(gamma), d))
@@ -276,11 +276,23 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
 
         def dphi(a):
             np.add(np.multiply(dm, a, out=y), x, out=y)  # y = x + a d
-            # y = 0 only at an end of the chord, where the slope is
-            # +-inf; d / y * d stays NaN-free where d * d underflows
-            with np.errstate(divide="ignore"):
+            # y = 0 at an end of the chord (slope +-inf) and inside it where
+            # a d or (1 - a) x underflows: there y = (1 - a) x + a (x + d)
+            # is formed in logs. d / y * d is NaN-free where d * d underflows
+            with np.errstate(divide="ignore", over="ignore"):
                 entropy_slope = float(dm @ np.add(np.log(y, out=buf), 1.0, out=buf))
-                entropy_curv = float(np.divide(dm, y, out=buf) @ dm)
+                under = None
+                if 0.0 < a < 1.0 and not math.isfinite(entropy_slope):
+                    under = np.flatnonzero(y == 0.0)
+                    xu, du = x[under], dm[under]
+                    log_y = np.logaddexp(math.log1p(-a) + np.log(xu),
+                                         math.log(a) + np.log(xu + du))
+                    buf[under] = log_y + 1.0
+                    entropy_slope = float(dm @ buf)
+                np.divide(dm, y, out=buf)
+                if under is not None:
+                    buf[under] = np.copysign(np.exp(np.log(np.abs(du)) - log_y), du)
+                entropy_curv = float(buf @ dm)
             return (c1 + 2.0 * c2 * a + lam * entropy_slope,
                     2.0 * c2 + lam * entropy_curv)
 
@@ -318,29 +330,27 @@ def ot_cg_split(problem: TransportProblem, warm_start: bool = True) -> SplitObje
 # Sinkhorn-Knopp scaling
 # ---------------------------------------------------------------------------
 
-def _log_kernel(cost, lambda_ent, out=None):
-    """``-cost / lambda_ent - 1``, written into ``out`` when given."""
-    L = np.negative(cost, out=out)
-    L /= lambda_ent
-    L -= 1.0
-    return L
+def _stabilized_kernel(cost, lambda_ent, g=None, out=None):
+    """``(K, f, g)`` with ``K = exp(-cost / lambda_ent - 1 + f ⊕ g)``, in ``out``.
 
-
-def _stabilized_kernel(L, f, g):
-    """Re-centred ``(K, f, g)`` with ``K = exp(L + f ⊕ g)``, in ``L``'s memory.
-
-    ``L`` holds a log-kernel and is overwritten: ``K`` is ``L`` itself.
-    Every row of ``K`` peaks at 1 (a shift of ``f`` that the next row
-    scaling undoes) and columns peaking below ``exp(-_ABSORB_BOUND)`` are
-    lifted to it, so no row or column of ``K`` is zero.
+    ``f`` makes every row of ``K`` peak at 1, so only ``g`` (zero when
+    omitted) is read; columns peaking below ``exp(-_ABSORB_BOUND)`` are
+    lifted to it in the returned ``g``. So no row or column of ``K`` is
+    zero. A non-finite ``cost / lambda_ent`` raises ``ValueError``.
     """
-    L += f[:, None]
-    L += g[None, :]
+    with np.errstate(over="ignore"):  # an overflow is caught just below
+        L = np.divide(cost, -lambda_ent, out=out)
+        L -= 1.0
+        if g is not None:
+            L += g[None, :]
     shift = L.max(axis=1)
+    # NaN and +inf show in their row's maximum, -inf in the minimum
+    if not (np.isfinite(shift).all() and math.isfinite(L.min())):
+        raise ValueError("cost_adj / lambda_ent must be finite")
     L -= shift[:, None]
     lift = np.maximum(-_ABSORB_BOUND - L.max(axis=0), 0.0)
     L += lift[None, :]
-    return np.exp(L, out=L), f - shift, g + lift
+    return np.exp(L, out=L), -shift, lift if g is None else g + lift
 
 
 def _newton_step(K, u, v, Kv, a, b, budget):
@@ -415,12 +425,14 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
     over the transport polytope of the histograms ``mu_s``, ``mu_t``.
     The plan is ``exp(-cost_adj/lambda_ent - 1 + f ⊕ g)``; the sweeps
     scale ``u``, ``v`` on a kernel stabilized by the potentials ``f``,
-    ``g`` (Schmitzer 2019; Peyré & Cuturi 2019, §4.4). Every
+    ``g`` (Schmitzer 2019; Peyré & Cuturi 2019, §4.4), which
+    :func:`_stabilized_kernel` builds from the cost and ``g``. Every
     ``_CHECK_EVERY`` sweeps, and at the cap, scalings whose log passes
-    ``_ABSORB_BOUND`` are absorbed into the potentials (and reset to
-    ones), and non-finite ones roll back to the last checked scalings,
-    which are absorbed instead. So any ``lambda_ent > 0`` with a finite
-    ``cost_adj / lambda_ent`` runs the same sweeps.
+    ``_ABSORB_BOUND`` are absorbed (``log v`` into ``g``, the kernel
+    rebuilt, both reset to ones), and non-finite ones roll back to the
+    last checked ``v``, which is absorbed instead. So any
+    ``lambda_ent > 0`` with a finite ``cost_adj / lambda_ent`` runs the
+    same sweeps.
 
     The sweeps are overrelaxed, ``u <- u (a / (u K v))^w`` and likewise
     ``v``, which keeps the fixed point (Thibault, Chizat, Dossal &
@@ -456,10 +468,9 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
     violation (infinity norm) is at most ``tol``; after ``max_iter``
     sweeps (an integer >= 1; a product pair of a Newton step counts as
     one) raises :class:`ConvergenceError` carrying the achieved
-    violation. Warm ``potentials`` from a previous call,
-    shaped (r,) and (c,) and finite where the marginals are positive,
-    are re-centred by a max-shift. ``return_potentials`` also returns
-    the final ``(f, g)``, which are ``-inf`` at zero marginals.
+    violation. ``return_potentials`` also returns the plan's ``(f, g)``,
+    ``-inf`` at zero marginals. Warm ``potentials`` are a previous
+    call's ``g``, shaped (c,) and finite where ``mu_t`` is positive.
     """
     a = as_histogram(mu_s)
     b = as_histogram(mu_t)
@@ -471,35 +482,26 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if not is_count(max_iter):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    rows, cols = a > 0, b > 0
+    g = None
+    if potentials is not None:
+        g = np.asarray(potentials, dtype=np.float64)
+        if g.shape != b.shape or not np.all(np.isfinite(g[cols])):
+            raise ValueError(f"potentials must have shape {b.shape} and be "
+                             "finite where mu_t is positive")
+        g = g[cols]
+    a_s, b_s = a[rows], b[cols]
+
     # zero-mass rows and columns get no plan mass: scale on the support,
     # a view when there are none (fancy indexing copies, and the copy
     # becomes the buffer)
-    rows, cols = a > 0, b > 0
     full = rows.all() and cols.all()
     support = np.s_[:, :] if full else np.ix_(rows, cols)
     K = cost_adj[support]
-    with np.errstate(over="ignore"):  # an overflow is caught just below
-        K = _log_kernel(K, lambda_ent, out=None if full else K)
-    # min and max are NaN if any entry is
-    if not (math.isfinite(K.min()) and math.isfinite(K.max())):
-        raise ValueError("cost_adj / lambda_ent must be finite")
-    if potentials is None:
-        f, g = np.zeros(rows.sum()), np.zeros(cols.sum())
-    else:
-        f, g = (np.asarray(p, dtype=np.float64) for p in potentials)
-        if f.shape != a.shape or g.shape != b.shape:
-            raise ValueError(f"potentials must have shapes {a.shape} and "
-                             f"{b.shape}, got {f.shape} and {g.shape}")
-        f, g = f[rows], g[cols]
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
-            raise ValueError(
-                "potentials must be finite where the marginals are positive")
-    a_s, b_s = a[rows], b[cols]
-
-    K, f, g = _stabilized_kernel(K, f, g)
+    K, f, g = _stabilized_kernel(K, lambda_ent, g, out=None if full else K)
     u, v = np.ones(f.size), np.ones(g.size)
     Kv = K.sum(axis=1)
-    lu_ok = lv_ok = 0.0
+    lv_ok = 0.0
     viol = last = np.inf
     w = 1.0
     sweeps, due, newton = 0, _CHECK_EVERY, False
@@ -534,8 +536,7 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
             if sweeps >= max_iter:
                 raise ConvergenceError(viol, max_iter)
             if not finite:
-                lu, lv = lu_ok, lv_ok
-                w, last, newton = 1.0, np.inf, False
+                lv, w, last, newton = lv_ok, 1.0, np.inf, False
             elif not newton:
                 if viol <= _NEWTON_BELOW and last < np.inf and (
                         viol >= last or _CHECK_EVERY * math.log(tol / viol)
@@ -549,13 +550,12 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
                         w = min(2.0 / (1.0 + math.sqrt(1.0 - q)), _MAX_WEIGHT)
                     last = viol
             if finite and max(np.max(np.abs(lu)), np.max(np.abs(lv))) <= _ABSORB_BOUND:
-                lu_ok, lv_ok = lu, lv
+                lv_ok = lv
                 continue
-            K, f, g = _stabilized_kernel(
-                _log_kernel(cost_adj[support], lambda_ent, out=K), f + lu, g + lv)
+            K, f, g = _stabilized_kernel(cost_adj[support], lambda_ent, g + lv, out=K)
             u, v = np.ones(f.size), np.ones(g.size)
             Kv = K.sum(axis=1)
-            lu_ok = lv_ok = 0.0
+            lv_ok = 0.0
             newton = False  # until sweeps make the columns exact again
 
     K *= u[:, None]

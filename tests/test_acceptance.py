@@ -28,7 +28,7 @@ from gcgs.solver import (
 from gcgs import elasticnet as en
 from gcgs import transport as tr
 
-from test_ot import entropic_plan_2x2, lmo_by_enumeration
+from test_ot import entropic_plan_2x2, lmo_by_enumeration, spy_kernel_builds
 from test_elasticnet import project_l1_bisection
 from test_numerics import finite_diff_grad
 
@@ -277,14 +277,7 @@ def test_06_sinkhorn_marginal_accuracy(monkeypatch):
         worst = max(worst, tr.marginal_violation(gamma, a, b))
     # 10 instances whose plain kernel exp(-C/lambda - 1) underflows, so the
     # scalings outgrow the bound and are absorbed into the potentials
-    kernels = []
-    build = tr._stabilized_kernel
-
-    def counted(*args):
-        kernels.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(tr, "_stabilized_kernel", counted)
+    kernels = spy_kernel_builds(monkeypatch)
     for _ in range(10):
         r = int(rng.integers(2, 51))
         c = int(rng.integers(2, 81))

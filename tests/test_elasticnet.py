@@ -572,9 +572,10 @@ class TestBaselines:
         assert result.termination == "fp_residual" and n > 10
         # one gradient per iterate; projections: the oracle, the residual
         # (shared with the direction by pg) and the spectral direction,
-        # which the last iterate never takes
+        # which the last iterate never takes and the first shares with
+        # the residual (its step a = 1 is the fixed-point step)
         assert len(calls["loss_grad"]) == n
-        assert len(calls["project_l1"]) == projections * n - (projections - 2)
+        assert len(calls["project_l1"]) == 2 * n + (projections - 2) * (n - 2)
         # the objective at x0 plus the Armijo trials (every later iterate
         # is an accepted trial); pg warm-starts each search at the last
         # step, spg starts every search at 1

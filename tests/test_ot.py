@@ -9,6 +9,7 @@ transportation simplex that rebuilds its basis tree every pivot, and
 scipy's LP solver for medium instances.
 """
 
+import decimal
 import itertools
 import math
 import os
@@ -191,19 +192,61 @@ class CountingKernel(np.ndarray):
         return np.asarray(self).sum(*args, **kwargs)
 
 
-def count_kernel_products(monkeypatch, fn):
-    """``fn()`` and the kernel products the Sinkhorn calls in it made."""
+def spy_kernel_builds(monkeypatch, kernel_type=np.ndarray):
+    """Log every Sinkhorn kernel build: returns the list that gets each
+    built kernel's shape. Each kernel is handed on as a view of
+    ``kernel_type``."""
     import gcgs.transport
     build = gcgs.transport._stabilized_kernel
+    shapes = []
 
-    def counted(*args):
-        K, f, g = build(*args)
-        return K.view(CountingKernel), f, g
+    def spy(*args, **kwargs):
+        K, f, g = build(*args, **kwargs)
+        shapes.append(K.shape)
+        return K.view(kernel_type), f, g
 
-    monkeypatch.setattr(gcgs.transport, "_stabilized_kernel", counted)
+    monkeypatch.setattr(gcgs.transport, "_stabilized_kernel", spy)
+    return shapes
+
+
+def count_kernel_products(monkeypatch, fn):
+    """``fn()`` and the kernel products the Sinkhorn calls in it made."""
+    spy_kernel_builds(monkeypatch, CountingKernel)
     CountingKernel.products = 0
     result = fn()
     return result, CountingKernel.products
+
+
+def assert_exact_step_minimizes(problem, x, d):
+    """:func:`ot_split`'s exact step along ``x + a d`` is finite, the
+    slope changes sign at it (or points out of [0, 1] at an end) and it
+    is no worse than golden section."""
+    split = ot_split(problem)
+    alpha = step_exact(split, x, d)
+    assert np.isfinite(alpha) and 0.0 <= alpha <= 1.0
+
+    def slope(t):
+        y = x + t * d
+        moving = d != 0.0
+        with np.errstate(divide="ignore"):
+            entropy = float(d[moving] @ (1.0 + np.log(y[moving])))
+        return (float(np.vdot(split.f_grad(y), d))
+                + problem.lambda_ent * entropy)
+
+    tol = 1e-9 * (1.0 + abs(float(np.vdot(split.f_grad(x), d))))
+    if alpha == 0.0:
+        assert slope(0.0) >= -tol
+    elif alpha == 1.0:
+        assert slope(1.0) <= tol
+    else:
+        # the slope changes sign within 1e-12 of alpha; it need not be
+        # small at alpha itself, since a root next to an entry that
+        # reaches zero can sit closer to the end than floats resolve
+        assert slope(max(alpha - 1e-12, 0.0)) <= tol
+        assert slope(min(alpha + 1e-12, 1.0)) >= -tol
+    f_golden = split.value(
+        x + golden_section_min(lambda t: split.value(x + t * d)) * d)
+    assert split.value(x + alpha * d) <= f_golden + 1e-12 * max(1.0, abs(f_golden))
 
 
 def transport_lmo_rebuild_reference(cost, a, b):
@@ -413,13 +456,13 @@ class TestSinkhorn:
         cost = rng.random((6, 8))
         a = _hist(rng, 6)
         b = _hist(rng, 8)
-        plan1, pots = sinkhorn(cost, a, b, 0.3, tol=1e-10,
-                               return_potentials=True)
-        plan2 = sinkhorn(cost, a, b, 0.3, tol=1e-10, potentials=pots)
+        plan1, (_, g) = sinkhorn(cost, a, b, 0.3, tol=1e-10,
+                                 return_potentials=True)
+        plan2 = sinkhorn(cost, a, b, 0.3, tol=1e-10, potentials=g)
         np.testing.assert_allclose(plan2, plan1, atol=1e-9)
-        # warm potentials stay usable after a moderate cost perturbation
+        # a warm g stays usable after a moderate cost perturbation
         bumped = cost + 0.01 * rng.random((6, 8))
-        plan3 = sinkhorn(bumped, a, b, 0.3, tol=1e-10, potentials=pots)
+        plan3 = sinkhorn(bumped, a, b, 0.3, tol=1e-10, potentials=g)
         assert marginal_violation(plan3, a, b) <= 1e-10
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -427,23 +470,21 @@ class TestSinkhorn:
     def test_property_plans_feasible_and_reproduced_by_potentials(self, data):
         """Cold calls, then warm calls on a cost moved by up to 1000 lambda."""
         a, b, lam, cost, moved = _draw_sinkhorn_instance(data)
-        pots = None
+        g = None
         for cost_k in (cost, moved):
             # Sinkhorn's sweep count has no bound over this domain (nearly
             # tied marginals under one dominant kernel entry converge
             # sublinearly), so the property is checked where the
             # log-domain reference converges from the same start
             assume(sinkhorn_log_reference(
-                cost_k, a, b, lam, tol=1e-9, max_iter=5000,
-                g=None if pots is None else pots[1]) is not None)
-            plan, pots = sinkhorn(cost_k, a, b, lam, tol=1e-9,
-                                  max_iter=100000, potentials=pots,
-                                  return_potentials=True)
+                cost_k, a, b, lam, tol=1e-9, max_iter=5000, g=g) is not None)
+            plan, (f, g) = sinkhorn(cost_k, a, b, lam, tol=1e-9,
+                                    max_iter=100000, potentials=g,
+                                    return_potentials=True)
             assert np.all(np.isfinite(plan)) and plan.min() >= 0.0
             assert marginal_violation(plan, a, b) <= 1e-9
             # kernel entries below the normal range (2.2e-308) keep fewer
             # digits; scaled into the plan they stay far below 1e-200
-            f, g = pots
             rebuilt = np.exp(-cost_k / lam - 1.0 + f[:, None] + g[None, :])
             np.testing.assert_allclose(np.maximum(rebuilt, 1e-300), plan,
                                        rtol=1e-9, atol=1e-200)
@@ -459,13 +500,12 @@ class TestSinkhorn:
         estimated on a plateau can miss: README "Numerical notes".)
         """
         a, b, lam, cost, moved = _draw_sinkhorn_instance(data)
-        cap, pots = 1000, None
+        cap, g = 1000, None
         for cost_k in (cost, moved):
             assume(plain_sweep_count(
-                cost_k, a, b, lam, tol=1e-9, max_iter=cap,
-                g=None if pots is None else pots[1]) is not None)
-            plan, pots = sinkhorn(cost_k, a, b, lam, tol=1e-9, max_iter=cap,
-                                  potentials=pots, return_potentials=True)
+                cost_k, a, b, lam, tol=1e-9, max_iter=cap, g=g) is not None)
+            plan, (_, g) = sinkhorn(cost_k, a, b, lam, tol=1e-9, max_iter=cap,
+                                    potentials=g, return_potentials=True)
             assert marginal_violation(plan, a, b) <= 1e-9
 
     def test_overrelaxed_sweeps_beat_plain_sweeps_on_a_cluster_cost(self):
@@ -499,12 +539,12 @@ class TestSinkhorn:
         a new kernel) on the 60x60 cluster cost at lambda 0.01, counted by
         :class:`CountingKernel`. Measured before the Newton finish, then
         with it: 622 and 174 for a cold call at 1e-5; for a call warm from
-        those potentials on the cost moved by up to 1e-2, at 1e-9, a
+        its column potential on the cost moved by up to 1e-2, at 1e-9, a
         ``ConvergenceError`` at 100,000 sweeps (violation 9.6e-9) and 135.
         """
         Xs, Xt, a, b = make_cluster_data(60, 60, seed=0)
         cost = squared_distances(Xs, Xt)
-        (plan, pots), products = count_kernel_products(
+        (plan, (_, g)), products = count_kernel_products(
             monkeypatch, lambda: sinkhorn(cost, a, b, 0.01, tol=1e-5,
                                           return_potentials=True))
         assert marginal_violation(plan, a, b) <= 1e-5
@@ -512,7 +552,7 @@ class TestSinkhorn:
         moved = cost + 0.01 * make_rng(0).random(cost.shape)
         plan, products = count_kernel_products(
             monkeypatch, lambda: sinkhorn(moved, a, b, 0.01, tol=1e-9,
-                                          potentials=pots))
+                                          potentials=g))
         assert marginal_violation(plan, a, b) <= 1e-9
         assert products <= 140
 
@@ -528,18 +568,17 @@ class TestSinkhorn:
         distance between them was at most 1.9 ``tol``."""
         a, b, lam, cost, moved = _draw_sinkhorn_instance(data)
         tol = 10.0 ** -data.draw(st.integers(6, 12), label="-log10(tol)")
-        cap, pots = 1000, None
+        cap, g = 1000, None
         for cost_k in (cost, moved):
             reference = sinkhorn_log_reference(
-                cost_k, a, b, lam, tol=tol, max_iter=cap,
-                g=None if pots is None else pots[1])
+                cost_k, a, b, lam, tol=tol, max_iter=cap, g=g)
             assume(reference is not None)
-            plan, pots = sinkhorn(cost_k, a, b, lam, tol=tol, max_iter=cap,
-                                  potentials=pots, return_potentials=True)
+            plan, (f, g) = sinkhorn(cost_k, a, b, lam, tol=tol, max_iter=cap,
+                                    potentials=g, return_potentials=True)
             assert marginal_violation(plan, a, b) <= tol
             assert plan.min() >= 1e-300
-            assert np.all(np.isfinite(pots[0][a > 0]))
-            assert np.all(np.isfinite(pots[1][b > 0]))
+            assert np.all(np.isfinite(f[a > 0]))
+            assert np.all(np.isfinite(g[b > 0]))
             np.testing.assert_allclose(plan, reference, rtol=0.0, atol=10.0 * tol)
 
     @pytest.mark.parametrize("seed", [72, 123])
@@ -599,13 +638,12 @@ class TestSinkhorn:
         w = uniform_histogram(50)
         with pytest.raises(ValueError, match="finite"):
             sinkhorn(nan_cost, w, w, 0.1, max_iter=50000)
-        # length-1 potentials would broadcast; they are rejected instead
-        for pots in [(np.zeros(1), np.zeros(1)), (np.zeros(2), np.zeros(3))]:
-            with pytest.raises(ValueError, match="shapes"):
-                sinkhorn(cost, a, a, 0.5, potentials=pots)
+        # a length-1 potential would broadcast; it is rejected instead
+        for g in (np.zeros(1), np.zeros(3)):
+            with pytest.raises(ValueError, match="shape"):
+                sinkhorn(cost, a, a, 0.5, potentials=g)
         with pytest.raises(ValueError, match="finite where"):
-            sinkhorn(cost, a, a, 0.5,
-                     potentials=(np.zeros(2), np.array([0.0, np.nan])))
+            sinkhorn(cost, a, a, 0.5, potentials=np.array([0.0, np.nan]))
         for lam in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="lambda_ent must be finite"):
                 sinkhorn(cost, a, a, lam)
@@ -1095,12 +1133,8 @@ class TestMemory:
     def test_full_support_sinkhorn_holds_one_buffer(self, monkeypatch, lam, absorbs):
         # 1.14 at lambda 0.1, 1.15 at 2e-3 (4.14 with separate log-kernel,
         # kernel, product and plan)
-        import gcgs.transport
         cost, a, b = self._instance()
-        kernels = []
-        build = gcgs.transport._stabilized_kernel
-        monkeypatch.setattr(gcgs.transport, "_stabilized_kernel",
-                            lambda *args: kernels.append(None) or build(*args))
+        kernels = spy_kernel_builds(monkeypatch)
         peak = nn_peak(lambda: sinkhorn(cost, a, b, lam, tol=1e-5,
                                         max_iter=50000), self.n)
         assert (len(kernels) > 1) == absorbs  # one build, plus absorptions
@@ -1726,32 +1760,59 @@ class TestSplitObjectives:
         d = s - x
         assume(np.any(d))
 
+        assert_exact_step_minimizes(problem, x, d)
+
+    @staticmethod
+    def _underflow_chord():
+        """The chord from a vertex with exact zeros to the Sinkhorn plan
+        of a zero cost, which is 1e-300 on the zero-mass rows and
+        columns: near 0, ``a * 1e-300`` underflows there."""
+        a = np.array([1 / 3, 2 / 3, 0.0, 0.0])
+        Xs, Xt = np.zeros((4, 2)), np.full((4, 2), 0.875)
+        problem = TransportProblem(
+            np.zeros((4, 4)), a, a, lambda_ent=1.0, lambda_lap=1.0,
+            lap_s=knn_laplacian(Xs, 1), lap_t=knn_laplacian(Xt, 1), Xs=Xs, Xt=Xt)
+        x = transport_lmo(np.zeros((4, 4)), a, a)[0]
+        s = sinkhorn(np.zeros((4, 4)), a, a, 1.0, tol=1e-9)
+        return problem, x, s
+
+    def test_chord_step_where_the_start_underflows(self):
+        # the search evaluated phi' at 8.8e-268, where it read -inf
+        problem, x, s = self._underflow_chord()
+        assert_exact_step_minimizes(problem, x, s - x)
+
+    @pytest.mark.parametrize("near", [0.0, 1.0])
+    def test_chord_slope_where_an_entry_underflows(self, monkeypatch, near):
+        """phi' and phi'' agree with exact arithmetic inside (0, 1) where
+        ``x + a d`` underflows to 0: near 0 on the chord from the vertex,
+        and near 1 on a chord that takes the plan's floored entries, made
+        subnormal, to 0 (and its other entries elsewhere)."""
+        import gcgs.transport
+        problem, x, s = self._underflow_chord()
+        points = [2.0 ** -1074, 8.834116182923839e-268, 2.0 ** -80]
+        if near == 1.0:
+            floored = s == 1e-300
+            x, s = np.where(floored, 1e-310, s), np.where(floored, 0.0, 0.5 * (s + x))
+            points = [1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52]
+        d = s - x
+        slopes = []
+        monkeypatch.setattr(gcgs.transport, "convex_min_unit",
+                            lambda dphi, start: slopes.append(dphi) or 0.0)
         split = ot_split(problem)
-        alpha = step_exact(split, x, d)
-        assert np.isfinite(alpha) and 0.0 <= alpha <= 1.0
-
-        def slope(t):
-            y = x + t * d
-            moving = d != 0.0
-            with np.errstate(divide="ignore"):
-                entropy = float(d[moving] @ (1.0 + np.log(y[moving])))
-            return (float(np.vdot(split.f_grad(y), d))
-                    + problem.lambda_ent * entropy)
-
-        tol = 1e-9 * (1.0 + abs(float(np.vdot(split.f_grad(x), d))))
-        if alpha == 0.0:
-            assert slope(0.0) >= -tol
-        elif alpha == 1.0:
-            assert slope(1.0) <= tol
-        else:
-            # the slope changes sign within 1e-12 of alpha; it need not be
-            # small at alpha itself, since a root next to an entry that
-            # reaches zero can sit closer to the end than floats resolve
-            assert slope(max(alpha - 1e-12, 0.0)) <= tol
-            assert slope(min(alpha + 1e-12, 1.0)) >= -tol
-        f_golden = split.value(
-            x + golden_section_min(lambda t: split.value(x + t * d)) * d)
-        assert split.value(x + alpha * d) <= f_golden + 1e-12 * max(1.0, abs(f_golden))
+        split.exact_step(x, d)
+        c1 = float(np.vdot(split.f_grad(x), d))
+        c2 = problem.lambda_lap * laplacian_reg(d, problem)
+        for t in points:
+            assert np.any(x + t * d == 0.0)  # the case under test
+            slope, curv = slopes[0](t)
+            with decimal.localcontext(decimal.Context(prec=40)):
+                xs, ds = ([decimal.Decimal(v) for v in m.ravel()] for m in (x, d))
+                ys = [xi + decimal.Decimal(t) * di for xi, di in zip(xs, ds)]
+                entropy_slope = sum(di * (1 + yi.ln()) for di, yi in zip(ds, ys))
+                entropy_curv = sum(di * di / yi for di, yi in zip(ds, ys))
+            assert slope == pytest.approx(c1 + 2.0 * c2 * t + float(entropy_slope),
+                                          rel=1e-12, abs=1e-12)
+            assert curv == pytest.approx(2.0 * c2 + float(entropy_curv), rel=1e-12)
 
     def test_cg_split_gradient_finite_at_vertices(self):
         # LP vertices carry exact zeros; the floored entropy gradient

@@ -489,11 +489,15 @@ class TestSpectralStep:
         projected = []
         policy = SpectralProjectedGradient(lambda v: projected.append(v) or v + 1.0)
         x, grad_F = np.array([0.5, -0.25]), np.array([0.75, 1.5])
+        d = (x - grad_F + 1.0) - x  # the fixed-point step solve passes
         previous = None if s is None else (x - s, grad_F - y)
         for _ in range(2):  # the same arguments give the same direction
-            d = policy.direction(x, grad_F, None, previous)
-            np.testing.assert_array_equal(projected.pop(), x - step * grad_F)
-            np.testing.assert_array_equal(d, (x - step * grad_F + 1.0) - x)
+            direction = policy.direction(x, grad_F, d, previous)
+            np.testing.assert_array_equal(direction, (x - step * grad_F + 1.0) - x)
+            if s is None:  # the start's step a = 1 is d itself
+                assert direction is d and not projected
+            else:
+                np.testing.assert_array_equal(projected.pop(), x - step * grad_F)
 
 
 class TestIterateCache:
