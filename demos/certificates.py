@@ -13,9 +13,11 @@ Two demonstrations on small problems:
 Run with:  python3 demos/certificates.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from gcgs.solver import SolverConfig, SplitObjective, solve, surrogate_gap
+from gcgs.solver import SolverConfig, solve, surrogate_gap
 from gcgs import elasticnet as en
 from gcgs import transport as tr
 
@@ -52,11 +54,7 @@ def _spy_oracle(split, pairs):
         s, warm = split.partial_oracle(x, grad_f, warm)
         pairs.append((x.copy(), s.copy()))
         return s, warm
-    return SplitObjective(
-        f_eval=split.f_eval, f_grad=split.f_grad,
-        g_eval=split.g_eval, g_grad=split.g_grad,
-        partial_oracle=oracle, exact_step=split.exact_step,
-        residual=split.residual)
+    return replace(split, partial_oracle=oracle)
 
 
 def splitting_gap_is_sharper():

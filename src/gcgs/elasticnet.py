@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, convex_min_unit, make_rng
+from .numerics import (as_matrix, as_vector, check_count, check_positive,
+                       convex_min_unit, make_rng)
 from .solver import (ProjectedGradient, SolveResult, SolverConfig,
                      SpectralProjectedGradient, SplitObjective, cg_adapter,
                      iterate_cache, solve)
@@ -40,11 +41,6 @@ def _logistic(z):
     """1 / (1 + exp(-z)); 0 without a warning where exp(-z) overflows."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-z))
-
-
-def _check_radius(tau):
-    if not 0.0 < tau < math.inf:  # also rejects NaN
-        raise ValueError(f"tau must be finite and positive, got {tau!r}")
 
 
 @dataclass
@@ -69,9 +65,8 @@ class ElasticNetProblem:
         if self.loss in ("logistic", "squared_hinge"):
             if not np.all(np.isin(self.y, (-1.0, 1.0))):
                 raise ValueError(f"{self.loss} loss needs labels in {{-1,+1}}")
-        if not 0.0 < self.lam < math.inf:  # also rejects NaN
-            raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
-        _check_radius(self.tau)
+        check_positive("lam", self.lam)
+        check_positive("tau", self.tau)
 
 
 def loss_eval(problem: ElasticNetProblem, x: np.ndarray, Zx=None) -> float:
@@ -117,7 +112,7 @@ def project_l1(v: np.ndarray, tau: float) -> np.ndarray:
     magnitude, rounding rejects every threshold; the exact projection
     is then within that half ulp of zero, which is returned.
     """
-    _check_radius(tau)
+    check_positive("tau", tau)
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D array, got shape {v.shape}")
@@ -150,8 +145,7 @@ def project_l1(v: np.ndarray, tau: float) -> np.ndarray:
     return out
 
 
-def en_oracle(problem: ElasticNetProblem, x: np.ndarray,
-              grad_f: np.ndarray) -> np.ndarray:
+def en_oracle(problem: ElasticNetProblem, grad_f: np.ndarray) -> np.ndarray:
     """Partial-linearization subproblem over the ball.
 
     argmin_{||s||_1 <= tau} <grad_f, s> + lambda s^T s, which completes
@@ -168,7 +162,7 @@ def l1_lmo(grad_F: np.ndarray, tau: float) -> np.ndarray:
     by convention (any vertex is optimal there). ``grad_F`` must be 1-D
     and finite, ``tau`` finite and positive.
     """
-    _check_radius(tau)
+    check_positive("tau", tau)
     grad_F = np.asarray(grad_F, dtype=np.float64)
     if grad_F.ndim != 1:
         raise ValueError(f"expected a 1-D array, got shape {grad_F.shape}")
@@ -245,7 +239,7 @@ def en_split(problem: ElasticNetProblem) -> SplitObjective:
         f_grad=lambda x: loss_grad(problem, x, image(x)),
         g_eval=iterate_cache(lambda x: lam * float(x @ x)),
         g_grad=lambda x: 2.0 * lam * x,
-        partial_oracle=lambda x, gf, warm: (en_oracle(problem, x, gf), None),
+        partial_oracle=lambda x, gf, warm: (en_oracle(problem, gf), None),
         exact_step=exact_step,
         residual=lambda x, grad_F: fixed_point_residual(problem, x, grad_F),
     )
@@ -340,11 +334,13 @@ def make_toy_classification(N: int, d: int, T: int, seed: int = 0) -> Dataset:
     T x T draw A; the remaining d - T features are standard normal
     noise. Rows are shuffled, the first 80% (rounded down) form the
     training split, and normalization stats come from that split.
+    ``N``, ``d`` and ``T`` must be integers with ``1 <= T <= d`` and
+    ``N >= 10``.
     """
-    if not (1 <= T <= d):
-        raise ValueError("need 1 <= T <= d")
-    if N < 10:
+    if check_count("N", N) < 10:
         raise ValueError("need N >= 10")
+    if check_count("T", T) > check_count("d", d):
+        raise ValueError("need 1 <= T <= d")
     rng = make_rng(seed)
     A = rng.standard_normal((T, T))
     sigma = A @ A.T / T

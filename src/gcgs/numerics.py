@@ -1,12 +1,13 @@
 # -*- coding: utf-8 -*-
 """
-Shared numerical utilities: validated array construction, deterministic
-random number generation and 1-D minimization over [0, 1], by
-golden-section search on values or by safeguarded Newton on the
-derivative of a convex function.
+Shared numerical utilities: validated array and scalar arguments,
+deterministic random number generation and 1-D minimization over
+[0, 1], by golden-section search on values or by safeguarded Newton on
+the derivative of a convex function.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -26,39 +27,55 @@ class EvaluationError(RuntimeError):
     """A function evaluation produced a non-finite value."""
 
 
+def _as_array(data, ndim, kind):
+    a = np.asarray(data, dtype=np.float64)
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{kind} contains non-finite entries")
+    return a
+
+
 def as_vector(data) -> np.ndarray:
     """Return ``data`` as a 1-D float64 array, rejecting NaN/Inf entries."""
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D array, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector contains non-finite entries")
-    return v
+    return _as_array(data, 1, "vector")
 
 
 def as_matrix(data) -> np.ndarray:
     """Return ``data`` as a 2-D float64 array, rejecting NaN/Inf entries."""
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    return m
+    return _as_array(data, 2, "matrix")
 
 
-def is_count(n) -> bool:
-    """True for an integer >= 1; a bool is not a count."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+def _check(name, value, rule, ok, kind=numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def check_positive(name, value):
+    """Return ``value``, a real number in (0, inf); NaN and bools fail."""
+    return _check(name, value, "finite and positive", lambda v: 0.0 < v < math.inf)
+
+
+def check_nonnegative(name, value):
+    """Return ``value``, a real number in [0, inf); NaN and bools fail."""
+    return _check(name, value, "finite and nonnegative",
+                  lambda v: 0.0 <= v < math.inf)
+
+
+def check_count(name, n):
+    """Return ``n``, an integer >= 1; a bool is not one."""
+    return _check(name, n, "an integer >= 1", lambda v: v >= 1, numbers.Integral)
 
 
 def make_rng(seed: int) -> "np.random.Generator":
-    """Deterministic counter-based generator (Philox) for a 64-bit seed.
+    """Deterministic counter-based generator (Philox) for a seed in [0, 2**64).
 
     The stream depends on the seed alone, so draws are reproducible
     across runs and platforms.
     """
-    if not (0 <= int(seed) < 2**64):
-        raise ValueError("seed must be a 64-bit unsigned integer")
+    _check("seed", seed, "an integer in [0, 2**64)", lambda v: 0 <= v < 2**64,
+           numbers.Integral)
     return np.random.Generator(np.random.Philox(int(seed)))
 
 

@@ -30,7 +30,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .numerics import EvaluationError, golden_section_min, is_count
+from .numerics import (EvaluationError, check_count, check_nonnegative,
+                       golden_section_min)
 
 STEP_RULES = ("exact", "armijo", "fixed")
 
@@ -135,14 +136,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.step_rule not in STEP_RULES:
             raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if not is_count(self.max_iter):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        check_count("max_iter", self.max_iter)
         # an infinite tolerance would stop every run at iteration 0
-        if not 0.0 <= self.gap_tol < math.inf:  # also rejects NaN
-            raise ValueError(f"gap_tol must be finite and >= 0, got {self.gap_tol!r}")
-        if self.residual_tol is not None and not 0.0 <= self.residual_tol < math.inf:
-            raise ValueError(
-                f"residual_tol must be finite and >= 0, got {self.residual_tol!r}")
+        check_nonnegative("gap_tol", self.gap_tol)
+        if self.residual_tol is not None:
+            check_nonnegative("residual_tol", self.residual_tol)
 
 
 @dataclass

@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import as_matrix, convex_min_unit, is_count, make_rng
+from .numerics import (as_matrix, as_vector, check_count, check_nonnegative,
+                       check_positive, convex_min_unit, make_rng)
 from .solver import SplitObjective, cg_adapter, iterate_cache
 
 # Output plans and entropy-gradient arguments are floored here.
@@ -78,18 +79,17 @@ class DegeneracyError(RuntimeError):
 
 def as_histogram(weights) -> np.ndarray:
     """Validate and return a probability histogram as a float64 array."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError(f"histogram must be 1-D, got shape {w.shape}")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("histogram weights must be finite and nonnegative")
+    w = as_vector(weights)
+    if np.any(w < 0):
+        raise ValueError("histogram weights must be nonnegative")
     if abs(w.sum() - 1.0) > 1e-12:
         raise ValueError(f"histogram weights sum to {w.sum()!r}, expected 1")
     return w
 
 
 def uniform_histogram(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)
+    """Equal weights on ``n`` points, an integer >= 1."""
+    return np.full(n, 1.0 / check_count("n", n))
 
 
 def marginal_violation(gamma: np.ndarray, mu_s: np.ndarray, mu_t: np.ndarray) -> float:
@@ -150,12 +150,8 @@ class TransportProblem:
         r, c = self.cost.shape
         if self.mu_s.shape != (r,) or self.mu_t.shape != (c,):
             raise ValueError("marginal lengths do not match the cost matrix")
-        if not 0.0 < self.lambda_ent < math.inf:  # also rejects NaN
-            raise ValueError(
-                f"lambda_ent must be finite and positive, got {self.lambda_ent!r}")
-        if not 0.0 <= self.lambda_lap < math.inf:
-            raise ValueError(
-                f"lambda_lap must be finite and nonnegative, got {self.lambda_lap!r}")
+        check_positive("lambda_ent", self.lambda_ent)
+        check_nonnegative("lambda_lap", self.lambda_lap)
         if self.lambda_lap > 0:
             checked = []
             for name, L, n in (("lap_s", self.lap_s, r), ("lap_t", self.lap_t, c)):
@@ -241,12 +237,8 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     point of a solve. ``sinkhorn_tol`` must be finite and positive and
     ``sinkhorn_max_iter`` an integer >= 1.
     """
-    if not 0.0 < sinkhorn_tol < math.inf:  # also rejects NaN
-        raise ValueError(
-            f"sinkhorn_tol must be finite and positive, got {sinkhorn_tol!r}")
-    if not is_count(sinkhorn_max_iter):
-        raise ValueError(
-            f"sinkhorn_max_iter must be an integer >= 1, got {sinkhorn_max_iter!r}")
+    check_positive("sinkhorn_tol", sinkhorn_tol)
+    check_count("sinkhorn_max_iter", sinkhorn_max_iter)
 
     def f_eval(gamma):
         return (float(np.vdot(gamma, problem.cost))
@@ -346,7 +338,7 @@ def _stabilized_kernel(cost, lambda_ent, g=None, out=None):
     shift = L.max(axis=1)
     # NaN and +inf show in their row's maximum, -inf in the minimum
     if not (np.isfinite(shift).all() and math.isfinite(L.min())):
-        raise ValueError("cost_adj / lambda_ent must be finite")
+        raise ValueError("cost_adj / lambda_ent has non-finite entries")
     L -= shift[:, None]
     lift = np.maximum(-_ABSORB_BOUND - L.max(axis=0), 0.0)
     L += lift[None, :]
@@ -477,11 +469,9 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
     cost_adj = np.asarray(cost_adj, dtype=np.float64)
     if cost_adj.shape != (a.size, b.size):
         raise ValueError("cost shape does not match the marginals")
-    for name, value in (("lambda_ent", lambda_ent), ("tol", tol)):
-        if not 0.0 < value < math.inf:  # also rejects NaN
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    if not is_count(max_iter):
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    check_positive("lambda_ent", lambda_ent)
+    check_positive("tol", tol)
+    check_count("max_iter", max_iter)
     rows, cols = a > 0, b > 0
     g = None
     if potentials is not None:
@@ -661,7 +651,8 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t):
     # pivot on noise, and tiny ones still pivot to their optimum.
     limit = sys.float_info.max / (8.0 * (r + c))
     if not np.abs(cost).max() <= limit:
-        raise ValueError(f"cost must be finite and within {limit:.3e}, or its range overflows")
+        raise ValueError(f"cost is not finite, or beyond {limit:.3e} where its "
+                         "range overflows")
 
     if r == c and np.all(a == a[0]) and np.all(b == a[0]):
         cols, u, v = _assignment(cost)
@@ -912,10 +903,9 @@ def knn_laplacian(X: np.ndarray, k: int) -> np.ndarray:
     """
     X = as_matrix(X)
     n = X.shape[0]
-    if not (is_count(k) and k < n):
-        raise ValueError(f"need an integer 1 <= k < n, got k={k!r}, n={n}")
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    if check_count("k", k) >= n:
+        raise ValueError(f"need k < n, got k={k!r}, n={n}")
+    d2 = squared_distances(X, X)
     np.fill_diagonal(d2, np.inf)
     idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
     W = np.zeros((n, n))
@@ -932,19 +922,17 @@ def make_cluster_data(ns: int, nt: int, n_clusters: int = 3,
     are a rotated and shifted copy of the source centers with fresh
     noise. Deterministic for a given seed. ``ns``, ``nt`` and
     ``n_clusters`` must be integers >= 1 with ``n_clusters <= min(ns,
-    nt)``, and ``noise`` finite and nonnegative.
+    nt)``, ``noise`` finite and nonnegative, and ``seed`` an integer in
+    [0, 2**64).
 
     Returns
     -------
     (Xs, Xt, mu_s, mu_t)
     """
-    for name, n in (("ns", ns), ("nt", nt), ("n_clusters", n_clusters)):
-        if not is_count(n):
-            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
-    if n_clusters > min(ns, nt):
+    ns, nt = check_count("ns", ns), check_count("nt", nt)
+    if check_count("n_clusters", n_clusters) > min(ns, nt):
         raise ValueError("need 1 <= n_clusters <= min(ns, nt)")
-    if not 0.0 <= noise < math.inf:
-        raise ValueError(f"noise must be finite and nonnegative, got {noise!r}")
+    check_nonnegative("noise", noise)
     rng = make_rng(seed)
     centers = rng.uniform(0.0, 1.0, size=(n_clusters, 2))
     shift = rng.uniform(0.3, 0.6, size=2)

@@ -13,6 +13,7 @@ bisection) plus closed forms and finite differences defined here.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,12 +49,7 @@ def _spy(split):
         pairs.append((x.copy(), s.copy()))
         return s, warm
 
-    spied = SplitObjective(
-        f_eval=split.f_eval, f_grad=split.f_grad,
-        g_eval=split.g_eval, g_grad=split.g_grad,
-        partial_oracle=oracle,
-        exact_step=split.exact_step, residual=split.residual)
-    return spied, pairs
+    return replace(split, partial_oracle=oracle), pairs
 
 
 def _full_scale_problem(seed):

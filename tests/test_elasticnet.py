@@ -255,7 +255,7 @@ class TestSubproblemOracle:
         grad = 3.0 * rng.standard_normal(2)
         problem = ElasticNetProblem(Z=np.eye(2), y=np.zeros(2),
                                     lam=lam, tau=tau)
-        s = en_oracle(problem, np.zeros(2), grad)
+        s = en_oracle(problem, grad)
         s_grid, q_grid = en_subproblem_by_grid(grad, lam, tau)
         # the exact minimizer can never lose to any grid point
         q_s = float(grad @ s) + lam * float(s @ s)
@@ -267,7 +267,7 @@ class TestSubproblemOracle:
                                     lam=2.0, tau=10.0)
         grad = np.array([1.0, -3.0])
         np.testing.assert_allclose(
-            en_oracle(problem, np.zeros(2), grad), -grad / 4.0, atol=1e-15)
+            en_oracle(problem, grad), -grad / 4.0, atol=1e-15)
 
 
 class TestL1Lmo:
@@ -419,6 +419,14 @@ class TestEnSplit:
         d = np.array([1.0, 0.0])  # unconstrained minimizer far beyond 1
         assert split.exact_step(x, d) == 1.0
         assert split.exact_step(x, -d) == 0.0
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-170])
+    def test_exact_step_along_a_null_chord_is_zero(self, scale):
+        # at 1e-170 every square in the quadratic's curvature underflows,
+        # so its closed form would divide by zero
+        problem = _small_problem(seed=12)
+        x = project_l1(make_rng(13).standard_normal(12), problem.tau)
+        assert en_split(problem).exact_step(x, np.full(12, scale)) == 0.0
 
     def test_cgs_reaches_ridge_solution_when_ball_is_large(self):
         problem = _small_problem(seed=14, tau=1e3)
@@ -586,7 +594,7 @@ class TestBaselines:
         split = en_split(problem)
         for rec, (_, x, _) in zip(result.trace, calls["loss_grad"]):
             grad_f = loss_grad(problem, x)
-            gap = surrogate_gap(x, en_oracle(problem, x, grad_f), grad_f, split)
+            gap = surrogate_gap(x, en_oracle(problem, grad_f), grad_f, split)
             assert rec.surrogate_gap == max(gap, 0.0)
 
     @pytest.mark.parametrize("make_split,projections",

@@ -4,7 +4,10 @@ Also home of :func:`finite_diff_grad`, the central-difference oracle
 against which the other test modules check every analytic gradient.
 """
 
+import ast
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,8 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gcgs
+from gcgs import elasticnet as en
+from gcgs import transport as tr
 from gcgs.numerics import (EvaluationError, as_matrix, as_vector,
                            convex_min_unit, golden_section_min, make_rng)
+from gcgs.solver import SolverConfig
 
 
 def finite_diff_grad(func, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -104,6 +110,106 @@ class TestRng:
         assert done.stdout.split("\n")[0] == (
             "[0.014067035665647709, 0.2577672456246177, 0.47156538101528966]"
             " [460, 592, 492]")
+
+
+_COST, _HIST, _ZEROS = np.zeros((2, 2)), np.full(2, 0.5), np.zeros(2)
+
+
+def _ot_problem():
+    return tr.TransportProblem(_COST, _HIST, _HIST, lambda_ent=0.5)
+
+
+# Every scalar argument taken from outside the program, by kind, with a
+# call that puts the value in its place; extra values are rows that
+# passed or raised another error before the rule covered them.
+_ARGUMENTS = [
+    ("make_rng", "seed", "seed", make_rng, (-0.5, "3")),
+    ("SolverConfig", "max_iter", "count", lambda v: SolverConfig(max_iter=v), ()),
+    ("SolverConfig", "gap_tol", "nonnegative", lambda v: SolverConfig(gap_tol=v), ()),
+    ("SolverConfig", "residual_tol", "nonnegative",
+     lambda v: SolverConfig(residual_tol=v), ()),
+    ("TransportProblem", "lambda_ent", "positive",
+     lambda v: tr.TransportProblem(_COST, _HIST, _HIST, lambda_ent=v), ()),
+    ("TransportProblem", "lambda_lap", "nonnegative",
+     lambda v: tr.TransportProblem(_COST, _HIST, _HIST, 0.5, lambda_lap=v), ()),
+    ("ot_split", "sinkhorn_tol", "positive",
+     lambda v: tr.ot_split(_ot_problem(), sinkhorn_tol=v), ()),
+    ("ot_split", "sinkhorn_max_iter", "count",
+     lambda v: tr.ot_split(_ot_problem(), sinkhorn_max_iter=v), ()),
+    ("sinkhorn", "lambda_ent", "positive",
+     lambda v: tr.sinkhorn(_COST, _HIST, _HIST, v), ()),
+    ("sinkhorn", "tol", "positive",
+     lambda v: tr.sinkhorn(_COST, _HIST, _HIST, 0.5, tol=v), ()),
+    ("sinkhorn", "max_iter", "count",
+     lambda v: tr.sinkhorn(_COST, _HIST, _HIST, 0.5, max_iter=v), ()),
+    ("uniform_histogram", "n", "count", tr.uniform_histogram, ()),
+    ("knn_laplacian", "k", "count", lambda v: tr.knn_laplacian(np.eye(3), v), ()),
+    ("make_cluster_data", "ns", "count", lambda v: tr.make_cluster_data(v, 3), ()),
+    ("make_cluster_data", "nt", "count", lambda v: tr.make_cluster_data(3, v), ()),
+    ("make_cluster_data", "n_clusters", "count",
+     lambda v: tr.make_cluster_data(3, 3, n_clusters=v), ()),
+    ("make_cluster_data", "noise", "nonnegative",
+     lambda v: tr.make_cluster_data(3, 3, noise=v), ()),
+    ("make_cluster_data", "seed", "seed",
+     lambda v: tr.make_cluster_data(3, 3, seed=v), (0.7,)),
+    ("ElasticNetProblem", "lam", "positive",
+     lambda v: en.ElasticNetProblem(np.eye(2), _ZEROS, lam=v), ()),
+    ("ElasticNetProblem", "tau", "positive",
+     lambda v: en.ElasticNetProblem(np.eye(2), _ZEROS, tau=v), ()),
+    ("project_l1", "tau", "positive", lambda v: en.project_l1(_ZEROS, v), ()),
+    ("l1_lmo", "tau", "positive", lambda v: en.l1_lmo(_ZEROS, v), ()),
+    ("make_toy_classification", "N", "count",
+     lambda v: en.make_toy_classification(v, 5, 2), (20.5,)),
+    ("make_toy_classification", "d", "count",
+     lambda v: en.make_toy_classification(20, v, 1), ()),
+    ("make_toy_classification", "T", "count",
+     lambda v: en.make_toy_classification(20, 5, v), ()),
+    ("make_toy_classification", "seed", "seed",
+     lambda v: en.make_toy_classification(20, 5, 2, seed=v), ()),
+]
+
+# the rule of each kind, and the values that break it: NaN, both
+# infinities, an out-of-range value, a bool and, for integers, 1.5
+_RULES = {
+    "positive": ("finite and positive", (-1.0, 0.0)),
+    "nonnegative": ("finite and nonnegative", (-1e-3,)),
+    "count": ("an integer >= 1", (0, 1.5)),
+    "seed": ("an integer in [0, 2**64)", (-1, 2**64, 1.5)),
+}
+
+
+def _bad_arguments():
+    for entry, name, kind, call, extra in _ARGUMENTS:
+        rule, out_of_range = _RULES[kind]
+        for value in (np.nan, np.inf, -np.inf, True) + out_of_range + extra:
+            yield pytest.param(call, name, rule, value,
+                               id=f"{entry}-{name}-{value!r}")
+
+
+@pytest.mark.parametrize("call,name,rule,value", list(_bad_arguments()))
+def test_bad_argument_raises_naming_it(call, name, rule, value):
+    with pytest.raises(ValueError, match=f"^{name} must be {re.escape(rule)}, got "):
+        call(value)
+
+
+def test_scalar_rules_are_written_in_numerics_only():
+    """No other module states the rule for a scalar argument itself: a
+    ``ValueError`` message there saying "must be finite" or "must be an
+    integer" would be a second copy of a check in ``gcgs.numerics``."""
+    found = []
+    for path in sorted(pathlib.Path(gcgs.__file__).parent.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ValueError"):
+                continue
+            text = "".join(part.value for part in ast.walk(node.exc)
+                           if isinstance(part, ast.Constant)
+                           and isinstance(part.value, str))
+            if "must be finite" in text or "must be an integer" in text:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 class TestGoldenSection:
