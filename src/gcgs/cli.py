@@ -105,7 +105,11 @@ def _json_value(source, key, value, spec):
     if value is None and default is None:
         return None
     if kind is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{source}: {key!r} is an integer beyond the "
+                              "float range") from None
     if type(value) is not kind:  # bool is not accepted as int
         raise ConfigError(f"{source}: {key!r} must be of type {kind.__name__}, "
                           f"got {value!r}")

@@ -151,7 +151,7 @@ def en_oracle(problem: ElasticNetProblem, grad_f: np.ndarray) -> np.ndarray:
     argmin_{||s||_1 <= tau} <grad_f, s> + lambda s^T s, which completes
     the square to the projection of -grad_f / (2 lambda).
     """
-    return project_l1(-grad_f / (2.0 * problem.lam), problem.tau)
+    return project_l1(grad_f / (-2.0 * problem.lam), problem.tau)
 
 
 def l1_lmo(grad_F: np.ndarray, tau: float) -> np.ndarray:
@@ -200,22 +200,40 @@ def en_split(problem: ElasticNetProblem) -> SplitObjective:
     per step, so each Newton step costs O(n) instead of O(nd).
 
     ``f_eval``, ``f_grad`` and ``exact_step`` share one ``Z @ x`` per
-    iterate of a :func:`~gcgs.solver.solve` run, and ``g`` is formed
-    once per point (:func:`~gcgs.solver.iterate_cache`).
+    point of a :func:`~gcgs.solver.solve` run, and ``g`` is formed once
+    per point (:func:`~gcgs.solver.iterate_cache`). For the squared loss
+    the shared value is the residual ``r = Z x - y`` itself, from which
+    all three read; they give the bytes of :func:`loss_eval` and
+    :func:`loss_grad` without calling them.
     """
     lam = problem.lam
-    image = iterate_cache(lambda x: problem.Z @ x)
 
     if problem.loss == "squared":
+        residual = iterate_cache(lambda x: problem.Z @ x - problem.y)
+
+        def f_eval(x):
+            r = residual(x)
+            return 0.5 * float(r @ r)
+
+        def f_grad(x):
+            return problem.Z.T @ residual(x)
+
         def exact_step(x, d):
             Zd = problem.Z @ d
             denom = float(Zd @ Zd) + 2.0 * lam * float(d @ d)
             if denom <= 0.0:
                 return 0.0
-            r = image(x) - problem.y
-            num = -(float(Zd @ r) + 2.0 * lam * float(x @ d))
+            num = -(float(Zd @ residual(x)) + 2.0 * lam * float(x @ d))
             return min(max(num / denom, 0.0), 1.0)
     else:
+        image = iterate_cache(lambda x: problem.Z @ x)
+
+        def f_eval(x):
+            return loss_eval(problem, x, image(x))
+
+        def f_grad(x):
+            return loss_grad(problem, x, image(x))
+
         def exact_step(x, d):
             t = problem.y * image(x)
             u = problem.y * (problem.Z @ d)
@@ -235,8 +253,8 @@ def en_split(problem: ElasticNetProblem) -> SplitObjective:
             return convex_min_unit(dphi)
 
     return SplitObjective(
-        f_eval=lambda x: loss_eval(problem, x, image(x)),
-        f_grad=lambda x: loss_grad(problem, x, image(x)),
+        f_eval=f_eval,
+        f_grad=f_grad,
         g_eval=iterate_cache(lambda x: lam * float(x @ x)),
         g_grad=lambda x: 2.0 * lam * x,
         partial_oracle=lambda x, gf, warm: (en_oracle(problem, gf), None),

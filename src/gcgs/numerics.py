@@ -47,20 +47,43 @@ def as_matrix(data) -> np.ndarray:
 
 
 def _check(name, value, rule, ok, kind=numbers.Real):
-    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+    # a value of type float is a Real and not a bool, so it skips the
+    # isinstance tests, which are slow for an abstract base class
+    valid = (type(value) is float and kind is numbers.Real
+             or not isinstance(value, bool) and isinstance(value, kind))
+    if not (valid and ok(value)):
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value
 
 
+def _finite(v):
+    """``v`` has a finite float value. A Python int beyond the float
+    range has none: its conversion overflows, and comparing it with
+    ``math.inf`` would let it pass."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _positive(v):
+    return v > 0.0 and _finite(v)
+
+
+def _nonnegative(v):
+    return v >= 0.0 and _finite(v)
+
+
 def check_positive(name, value):
-    """Return ``value``, a real number in (0, inf); NaN and bools fail."""
-    return _check(name, value, "finite and positive", lambda v: 0.0 < v < math.inf)
+    """Return ``value``, a real number in (0, inf) with a finite float
+    value; NaN and bools fail."""
+    return _check(name, value, "finite and positive", _positive)
 
 
 def check_nonnegative(name, value):
-    """Return ``value``, a real number in [0, inf); NaN and bools fail."""
-    return _check(name, value, "finite and nonnegative",
-                  lambda v: 0.0 <= v < math.inf)
+    """Return ``value``, a real number in [0, inf) with a finite float
+    value; NaN and bools fail."""
+    return _check(name, value, "finite and nonnegative", _nonnegative)
 
 
 def check_count(name, n):

@@ -167,17 +167,21 @@ class SolveResult:
 
 
 def surrogate_gap(x: np.ndarray, s: np.ndarray, grad_f: np.ndarray,
-                  obj: SplitObjective, g_x: Optional[float] = None) -> float:
+                  obj: SplitObjective, g_x: Optional[float] = None,
+                  d: Optional[np.ndarray] = None) -> float:
     """Certified suboptimality bound at ``x`` given the oracle output ``s``.
 
     Returns ``-[<grad_f, s - x> + g(s) - g(x)]``, which is nonnegative
     whenever ``s`` minimizes the bracket and bounds ``F(x) - F(x*)`` from
-    above. Invariant to adding a constant to ``g``. ``g_x``, when given,
-    is ``g(x)`` as the caller already formed it.
+    above. Invariant to adding a constant to ``g``. ``g_x`` and ``d``,
+    when given, are ``g(x)`` and the chord ``s - x`` as the caller
+    already formed them.
     """
     if g_x is None:
         g_x = obj.g_eval(x)
-    bracket = float(np.vdot(grad_f, s - x)) + obj.g_eval(s) - g_x
+    if d is None:
+        d = s - x
+    bracket = float(np.vdot(grad_f, d)) + obj.g_eval(s) - g_x
     return -bracket
 
 
@@ -334,7 +338,8 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
 
     ``grad F = grad f + grad g`` is formed once per iterate and feeds
     the residual, the policy direction and the Armijo rule; ``g(x)``
-    likewise feeds both the gap and the objective. An Armijo step moves
+    likewise feeds both the gap and the objective, and the chord
+    ``s - x`` both the gap and the step. An Armijo step moves
     to the accepted trial point and keeps the objective the search
     computed there, so ``F`` is evaluated once per point. Every
     iterate is a read-only array, which lets an objective cache work at
@@ -363,7 +368,7 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
     window = 1 if policy is None else policy.window
     alpha = 1.0
     objective = None  # F(x) when an Armijo search has computed it
-    warm = previous = None
+    warm = previous = d = None
 
     for k in range(cfg.max_iter + 1):
         grad_f = obj.f_grad(x)
@@ -372,7 +377,8 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
         except Exception as err:
             raise OracleError(k, err) from err
         g_x = obj.g_eval(x)
-        gap = surrogate_gap(x, s, grad_f, obj, g_x)
+        chord = s - x
+        gap = surrogate_gap(x, s, grad_f, obj, g_x, chord)
         if objective is None:
             objective = obj.f_eval(x) + g_x
         if not math.isfinite(objective):
@@ -404,8 +410,9 @@ def solve(obj: SplitObjective, x0: np.ndarray, cfg: SolverConfig,
             termination = "max_iter"
             break
 
-        dx = s - x if policy is None else policy.direction(x, grad_F, d, previous)
-        if np.abs(dx).max() <= _TINY_STEP:
+        dx = chord if policy is None else policy.direction(x, grad_F, d, previous)
+        # a policy that keeps d has its size in the residual already
+        if (residual if dx is d else np.abs(dx).max()) <= _TINY_STEP:
             termination = "stalled"
             break
 

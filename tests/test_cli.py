@@ -216,6 +216,16 @@ class TestConfigPrecedence:
         assert main(args(tmp_path, "--config", str(cfg))) == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, key", [("enet", "lam"), ("ot", "noise")])
+    def test_int_beyond_the_float_range_in_json_exits_2(self, tmp_path, capsys,
+                                                        experiment, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"%s": 1%s}' % (key, "0" * 400))
+        args = _ot_args if experiment == "ot" else _enet_args
+        assert main(args(tmp_path, "--config", str(cfg))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gcgs: ") and repr(key) in err
+
     def test_json_ints_for_floats_and_null_for_unset(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gap_tol": 1, "data": None}))

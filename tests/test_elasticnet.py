@@ -7,11 +7,12 @@ central finite differences for gradients.
 """
 
 import csv
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
@@ -104,6 +105,40 @@ def project_l1_sorting_reference(v, tau):
     return np.sign(v) * np.maximum(mag - theta, 0.0)
 
 
+def project_l1_pinned(v, tau):
+    """``project_l1``'s body as it stands, checks left out.
+
+    A rewrite of the projection must return these bytes: signed zeros,
+    ties, the tiny-``tau`` fallback (``rho = 0`` when rounding rejects
+    every threshold) and the branch that rescales an overflowing
+    ``||v||_1`` included.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    mag = abs(v)
+    total = float(np.multiply(mag, 2.0 ** -64).sum()) * 2.0 ** 64
+    if total <= tau:
+        return v.copy()
+    scale = float(mag.max()) if total == math.inf else 1.0
+    if scale != 1.0:
+        mag /= scale
+        tau /= scale
+    u = mag.copy()
+    u.sort()
+    u = u[::-1]
+    cssv = u.cumsum()
+    cssv -= tau
+    passed = (u * np.arange(1.0, u.size + 1.0) > cssv).nonzero()[0]
+    rho = int(passed[-1]) if passed.size else 0
+    theta = float(cssv[rho]) / (rho + 1.0)
+    out = mag
+    out -= theta
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(v)
+    if scale != 1.0:
+        out *= scale
+    return out
+
+
 def assert_l1_projection(v, tau, p):
     """``p`` is the L1-ball projection of ``v`` up to rounding at ``max|v|``.
 
@@ -154,6 +189,31 @@ def ridge_solution(Z, y, lam):
     """Closed-form minimizer of 0.5||Zx - y||^2 + lam x'x."""
     d = Z.shape[1]
     return np.linalg.solve(Z.T @ Z + 2.0 * lam * np.eye(d), Z.T @ y)
+
+
+def spy_on_split_calls(monkeypatch, names):
+    """Log the points the named callables of every split
+    ``elasticnet.en_split`` builds next are called at.
+
+    Patches ``elasticnet.en_split``, through which ``en_cg_split``,
+    ``pg_solve`` and ``spg_solve`` build theirs. The squared-loss split
+    reads its residual ``Z x - y`` without calling ``loss_eval`` or
+    ``loss_grad``, so its evaluations are counted here. Returns a dict
+    of point lists by name.
+    """
+    calls = {name: [] for name in names}
+    make = elasticnet.en_split
+
+    def spied(problem):
+        split = make(problem)
+        for name in names:
+            fn = getattr(split, name)
+            setattr(split, name,
+                    lambda x, _fn=fn, _log=calls[name]: _log.append(x) or _fn(x))
+        return split
+
+    monkeypatch.setattr(elasticnet, "en_split", spied)
+    return calls
 
 
 def _small_problem(seed=0, n=40, d=12, lam=1.0, tau=2.0, loss="squared"):
@@ -214,6 +274,23 @@ class TestProjectL1:
         # ties, zeros of either sign and interior points included
         assert (project_l1(v, tau).tobytes()
                 == project_l1_sorting_reference(v, tau).tobytes())
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(v=hnp.arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+               st.floats(-1e3, 1e3), st.floats(-1e308, 1e308),
+               st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e20, -1e20,
+                                1e308, -1e308]))),
+           tau=st.one_of(st.floats(1e-3, 1e3), st.floats(1e-300, 1e300),
+                         st.sampled_from([1.0, 2.0])))
+    @example(v=np.array([-0.0, 0.0, 2.5, -2.5, 2.5, -1.0]), tau=2.0)  # zeros, ties
+    @example(v=np.array([0.3, -0.0, -0.2]), tau=1.0)  # interior
+    @example(v=np.array([1e20, -1e20, -0.0, 3.0]), tau=1.0)  # below half an ulp
+    @example(v=np.array([1e308, -1e308, -0.0, 1.0]), tau=2.0)  # ||v||_1 overflows
+    def test_same_bytes_as_the_pinned_body(self, v, tau):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = project_l1(v, tau)
+        assert p.tobytes() == project_l1_pinned(v, tau).tobytes()
 
     @pytest.mark.parametrize("v, tau", [
         ([1e20, 1e20], 1.0), ([1e17, 3.0], 1.0), ([1e308, -1e308, 1.0], 2.0),
@@ -471,6 +548,40 @@ class TestEnSplit:
             assert objs[-1] < objs[0]
 
 
+def squared_step_reference(problem, x, d):
+    """The squared loss's closed-form exact step from a fresh residual."""
+    Zd, r = problem.Z @ d, problem.Z @ x - problem.y
+    denom = float(Zd @ Zd) + 2.0 * problem.lam * float(d @ d)
+    if denom <= 0.0:
+        return 0.0
+    num = -(float(Zd @ r) + 2.0 * problem.lam * float(x @ d))
+    return min(max(num / denom, 0.0), 1.0)
+
+
+class TestSquaredSplit:
+    """The squared-loss split reads one cached residual ``Z x - y``."""
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 0.3, 30.0]),
+           order=st.permutations(["f_eval", "f_grad", "exact_step"]))
+    def test_evaluators_match_the_loss_functions_bitwise(self, seed, scale, order):
+        problem = _small_problem(seed=32, tau=2.0)
+        split = en_split(problem)
+        rng = make_rng(seed)
+        x = scale * rng.standard_normal(12)
+        x.flags.writeable = False  # a point the cache answers for
+        d = rng.standard_normal(12)
+        expected = {"f_eval": loss_eval(problem, x),
+                    "f_grad": loss_grad(problem, x).tobytes(),
+                    "exact_step": squared_step_reference(problem, x, d)}
+        seen = {"f_eval": lambda: split.f_eval(x),
+                "f_grad": lambda: split.f_grad(x).tobytes(),
+                "exact_step": lambda: split.exact_step(x, d)}
+        for _ in range(2):  # the first call of each kind may fill the cache
+            for name in order:
+                assert seen[name]() == expected[name]
+
+
 class TestCgSplit:
     def test_moves_regularizer_into_smooth_part(self):
         problem = _small_problem(seed=18)
@@ -567,12 +678,10 @@ class TestBaselines:
     @pytest.mark.parametrize("run,projections", [(pg_solve, 2), (spg_solve, 3)])
     def test_work_per_iteration_and_recorded_gap(self, monkeypatch, run,
                                                   projections):
-        calls = {"loss_grad": [], "project_l1": [], "loss_eval": []}
-        for name, log in calls.items():
-            fn = getattr(elasticnet, name)
-            monkeypatch.setattr(
-                elasticnet, name,
-                lambda *a, _fn=fn, _log=log: _log.append(a) or _fn(*a))
+        calls = spy_on_split_calls(monkeypatch, ("f_grad", "f_eval"))
+        projected, fn = [], elasticnet.project_l1
+        monkeypatch.setattr(elasticnet, "project_l1",
+                            lambda *a: projected.append(a) or fn(*a))
         problem = _small_problem(seed=28, tau=0.8)
         result = run(problem, np.zeros(12), self._cfg(tol=1e-6))
         monkeypatch.undo()
@@ -582,43 +691,41 @@ class TestBaselines:
         # (shared with the direction by pg) and the spectral direction,
         # which the last iterate never takes and the first shares with
         # the residual (its step a = 1 is the fixed-point step)
-        assert len(calls["loss_grad"]) == n
-        assert len(calls["project_l1"]) == 2 * n + (projections - 2) * (n - 2)
+        assert len(calls["f_grad"]) == n
+        assert len(projected) == 2 * n + (projections - 2) * (n - 2)
         # the objective at x0 plus the Armijo trials (every later iterate
         # is an accepted trial); pg warm-starts each search at the last
         # step, spg starts every search at 1
         alphas = [rec.alpha for rec in result.trace[:-1]]
         trials = armijo_evaluations(alphas, warm=run is pg_solve)
-        assert len(calls["loss_eval"]) == 1 + trials
+        assert len(calls["f_eval"]) == 1 + trials
         # the recorded gap is the splitting certificate at each iterate
         split = en_split(problem)
-        for rec, (_, x, _) in zip(result.trace, calls["loss_grad"]):
+        for rec, x in zip(result.trace, calls["f_grad"]):
             grad_f = loss_grad(problem, x)
             gap = surrogate_gap(x, en_oracle(problem, grad_f), grad_f, split)
             assert rec.surrogate_gap == max(gap, 0.0)
 
     @pytest.mark.parametrize("make_split,projections",
-                             [(en_split, 2), (en_cg_split, 1)])
+                             [("en_split", 2), ("en_cg_split", 1)])
     def test_splits_take_one_gradient_per_iterate(self, monkeypatch,
                                                    make_split, projections):
-        calls = {"loss_grad": [], "project_l1": []}
-        for name, log in calls.items():
-            fn = getattr(elasticnet, name)
-            monkeypatch.setattr(
-                elasticnet, name,
-                lambda *a, _fn=fn, _log=log: _log.append(a) or _fn(*a))
+        calls = spy_on_split_calls(monkeypatch, ("f_grad",))
+        projected, fn = [], elasticnet.project_l1
+        monkeypatch.setattr(elasticnet, "project_l1",
+                            lambda *a: projected.append(a) or fn(*a))
         problem = _small_problem(seed=28, tau=0.8)
         cfg = SolverConfig(step_rule="exact", gap_tol=0.0, residual_tol=1e-6,
                            max_iter=300)
-        result = solve(make_split(problem), np.zeros(12), cfg)
+        result = solve(getattr(elasticnet, make_split)(problem), np.zeros(12), cfg)
         monkeypatch.undo()
         n = len(result.trace)
         assert n > 10
         # the loop's one gradient feeds the residual; projections: the
         # residual, plus the oracle for the splitting (cg's is a vertex)
-        assert len(calls["loss_grad"]) == n
-        assert len(calls["project_l1"]) == projections * n
-        for rec, (_, x, _) in zip(result.trace, calls["loss_grad"]):
+        assert len(calls["f_grad"]) == n
+        assert len(projected) == projections * n
+        for rec, x in zip(result.trace, calls["f_grad"]):
             assert rec.extra_residual == fixed_point_residual(
                 problem, x, objective_grad(problem, x))
 
@@ -682,10 +789,8 @@ class TestBaselines:
                            max_iter=10000)
         for run, bound in [(lambda: pg_solve(problem, np.zeros(100), cfg), 2.5),
                            (lambda: solve(en_cg_split(problem), np.zeros(100), cfg), 3.5)]:
-            evals = []
             with monkeypatch.context() as patch:
-                patch.setattr(elasticnet, "loss_eval",
-                              lambda *a, _fn=loss_eval: evals.append(1) or _fn(*a))
+                evals = spy_on_split_calls(patch, ("f_eval",))["f_eval"]
                 result = run()
             assert len(evals) <= bound * len(result.trace)
 

@@ -168,11 +168,14 @@ _ARGUMENTS = [
      lambda v: en.make_toy_classification(20, 5, 2, seed=v), ()),
 ]
 
+# An int beyond the float range: ``float()`` of it overflows.
+_HUGE = 10**400
+
 # the rule of each kind, and the values that break it: NaN, both
 # infinities, an out-of-range value, a bool and, for integers, 1.5
 _RULES = {
-    "positive": ("finite and positive", (-1.0, 0.0)),
-    "nonnegative": ("finite and nonnegative", (-1e-3,)),
+    "positive": ("finite and positive", (-1.0, 0.0, _HUGE)),
+    "nonnegative": ("finite and nonnegative", (-1e-3, _HUGE)),
     "count": ("an integer >= 1", (0, 1.5)),
     "seed": ("an integer in [0, 2**64)", (-1, 2**64, 1.5)),
 }
@@ -182,8 +185,9 @@ def _bad_arguments():
     for entry, name, kind, call, extra in _ARGUMENTS:
         rule, out_of_range = _RULES[kind]
         for value in (np.nan, np.inf, -np.inf, True) + out_of_range + extra:
+            label = "10**400" if value is _HUGE else repr(value)
             yield pytest.param(call, name, rule, value,
-                               id=f"{entry}-{name}-{value!r}")
+                               id=f"{entry}-{name}-{label}")
 
 
 @pytest.mark.parametrize("call,name,rule,value", list(_bad_arguments()))

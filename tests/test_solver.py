@@ -140,6 +140,17 @@ class TestSurrogateGap:
             s, _ = obj.partial_oracle(x, obj.f_grad(x), None)
             assert surrogate_gap(x, s, obj.f_grad(x), obj) >= -1e-12
 
+    def test_a_given_chord_gives_the_same_bits(self):
+        obj = ridge_on_ball()
+        rng = make_rng(1)
+        for _ in range(20):
+            x = rng.uniform(-0.5, 0.5, 2)
+            grad = obj.f_grad(x)
+            s, _ = obj.partial_oracle(x, grad, None)
+            gap = surrogate_gap(x, s, grad, obj)
+            assert surrogate_gap(x, s, grad, obj, d=s - x) == gap
+            assert surrogate_gap(x, s, grad, obj, obj.g_eval(x), s - x) == gap
+
     def test_zero_at_fixed_point(self):
         obj = ridge_on_ball()
         res = solve(obj, np.zeros(2), SolverConfig(gap_tol=1e-12, max_iter=500))
