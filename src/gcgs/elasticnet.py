@@ -69,27 +69,40 @@ class ElasticNetProblem:
         check_positive("tau", self.tau)
 
 
-def loss_eval(problem: ElasticNetProblem, x: np.ndarray, Zx=None) -> float:
-    """Value of the data-fitting term at x; ``Zx`` is ``Z @ x`` if held."""
-    t = problem.Z @ x if Zx is None else Zx
+def _margins(problem: ElasticNetProblem, x: np.ndarray) -> np.ndarray:
+    """What the loss reads of ``Z x``: the residual ``Z x - y`` for the
+    squared loss, the margins ``y * Z x`` for the other two."""
     if problem.loss == "squared":
-        r = t - problem.y
-        return 0.5 * float(r @ r)
+        return problem.Z @ x - problem.y
+    return problem.y * (problem.Z @ x)
+
+
+def loss_eval(problem: ElasticNetProblem, x: np.ndarray, margins=None) -> float:
+    """Value of the data-fitting term at x.
+
+    ``margins``, if held, is what the loss reads of ``Z x``: the residual
+    ``Z x - y`` for the squared loss, the margins ``y * Z x`` for the
+    logistic and squared hinge losses. Only :func:`en_split` passes it.
+    """
+    m = _margins(problem, x) if margins is None else margins
+    if problem.loss == "squared":
+        return 0.5 * float(m @ m)
     if problem.loss == "logistic":
-        # log(1 + exp(-y t)) summed, overflow-safe
-        return float(np.logaddexp(0.0, -problem.y * t).sum())
-    u = np.maximum(0.0, 1.0 - problem.y * t)
+        # log(1 + exp(-m)) summed, overflow-safe
+        return float(np.logaddexp(0.0, -m).sum())
+    u = np.maximum(0.0, 1.0 - m)
     return float(u @ u)
 
 
-def loss_grad(problem: ElasticNetProblem, x: np.ndarray, Zx=None) -> np.ndarray:
-    """Gradient of the data-fitting term at x; ``Zx`` is ``Z @ x`` if held."""
-    t = problem.Z @ x if Zx is None else Zx
+def loss_grad(problem: ElasticNetProblem, x: np.ndarray, margins=None) -> np.ndarray:
+    """Gradient of the data-fitting term at x; ``margins`` as for
+    :func:`loss_eval`."""
+    m = _margins(problem, x) if margins is None else margins
     if problem.loss == "squared":
-        return problem.Z.T @ (t - problem.y)
+        return problem.Z.T @ m
     if problem.loss == "logistic":
-        return problem.Z.T @ (-problem.y * _logistic(-problem.y * t))
-    u = np.maximum(0.0, 1.0 - problem.y * t)
+        return problem.Z.T @ (-problem.y * _logistic(-m))
+    u = np.maximum(0.0, 1.0 - m)
     return problem.Z.T @ (-2.0 * problem.y * u)
 
 
@@ -195,66 +208,48 @@ def en_split(problem: ElasticNetProblem) -> SplitObjective:
     For the squared loss the exact line search has a closed form (the
     objective is quadratic along any chord). For the logistic and squared
     hinge losses it is a safeguarded Newton search on the chord's slope
-    (:func:`~gcgs.numerics.convex_min_unit`): the margins
-    ``t = y * (Z x)`` and their rates ``u = y * (Z d)`` are formed once
-    per step, so each Newton step costs O(n) instead of O(nd).
+    (:func:`~gcgs.numerics.convex_min_unit`): the margins ``t = y * Z x``
+    and their rates ``u = y * Z d`` are formed once per step, so each
+    Newton step costs O(n) instead of O(nd).
 
-    ``f_eval``, ``f_grad`` and ``exact_step`` share one ``Z @ x`` per
-    point of a :func:`~gcgs.solver.solve` run, and ``g`` is formed once
-    per point (:func:`~gcgs.solver.iterate_cache`). For the squared loss
-    the shared value is the residual ``r = Z x - y`` itself, from which
-    all three read; they give the bytes of :func:`loss_eval` and
-    :func:`loss_grad` without calling them.
+    ``f_eval``, ``f_grad`` and ``exact_step`` share one vector per point
+    of a :func:`~gcgs.solver.solve` run, what the loss reads of ``Z x``
+    (the residual ``Z x - y`` for the squared loss, the margins
+    ``y * Z x`` for the others), and ``g`` is formed once per point
+    (:func:`~gcgs.solver.iterate_cache`). ``f_eval`` and ``f_grad`` pass
+    it to :func:`loss_eval` and :func:`loss_grad`, looked up in this
+    module at each call.
     """
     lam = problem.lam
+    margins = iterate_cache(lambda x: _margins(problem, x))
 
-    if problem.loss == "squared":
-        residual = iterate_cache(lambda x: problem.Z @ x - problem.y)
-
-        def f_eval(x):
-            r = residual(x)
-            return 0.5 * float(r @ r)
-
-        def f_grad(x):
-            return problem.Z.T @ residual(x)
-
-        def exact_step(x, d):
-            Zd = problem.Z @ d
-            denom = float(Zd @ Zd) + 2.0 * lam * float(d @ d)
+    def exact_step(x, d):
+        Zd = problem.Z @ d
+        xd, dd = float(x @ d), float(d @ d)
+        if problem.loss == "squared":
+            denom = float(Zd @ Zd) + 2.0 * lam * dd
             if denom <= 0.0:
                 return 0.0
-            num = -(float(Zd @ residual(x)) + 2.0 * lam * float(x @ d))
+            num = -(float(Zd @ margins(x)) + 2.0 * lam * xd)
             return min(max(num / denom, 0.0), 1.0)
-    else:
-        image = iterate_cache(lambda x: problem.Z @ x)
+        t, u = margins(x), problem.y * Zd
+        uu = u * u
 
-        def f_eval(x):
-            return loss_eval(problem, x, image(x))
+        def dphi(a):
+            slope, curv = 2.0 * lam * (xd + a * dd), 2.0 * lam * dd
+            if problem.loss == "logistic":
+                p = _logistic(-(t + a * u))
+                return (slope - float(u @ p),
+                        curv + float(uu @ (p * (1.0 - p))))
+            h = np.maximum(0.0, 1.0 - t - a * u)
+            return (slope - 2.0 * float(u @ h),
+                    curv + 2.0 * float(uu[h > 0.0].sum()))
 
-        def f_grad(x):
-            return loss_grad(problem, x, image(x))
-
-        def exact_step(x, d):
-            t = problem.y * image(x)
-            u = problem.y * (problem.Z @ d)
-            xd, dd = float(x @ d), float(d @ d)
-            uu = u * u
-
-            def dphi(a):
-                slope, curv = 2.0 * lam * (xd + a * dd), 2.0 * lam * dd
-                if problem.loss == "logistic":
-                    p = _logistic(-(t + a * u))
-                    return (slope - float(u @ p),
-                            curv + float(uu @ (p * (1.0 - p))))
-                h = np.maximum(0.0, 1.0 - t - a * u)
-                return (slope - 2.0 * float(u @ h),
-                        curv + 2.0 * float(uu[h > 0.0].sum()))
-
-            return convex_min_unit(dphi)
+        return convex_min_unit(dphi)
 
     return SplitObjective(
-        f_eval=f_eval,
-        f_grad=f_grad,
+        f_eval=lambda x: loss_eval(problem, x, margins(x)),
+        f_grad=lambda x: loss_grad(problem, x, margins(x)),
         g_eval=iterate_cache(lambda x: lam * float(x @ x)),
         g_grad=lambda x: 2.0 * lam * x,
         partial_oracle=lambda x, gf, warm: (en_oracle(problem, gf), None),
@@ -387,7 +382,8 @@ def load_csv_dataset(path, label_column: str = "label") -> Dataset:
 
     The label column is selected by name; labels must be +-1. The first
     80% of rows (rounded down, file order) form the training split.
-    Parse failures report the 1-based row and column.
+    Parse failures and NaN or infinite cells report the 1-based row and
+    column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -412,6 +408,8 @@ def load_csv_dataset(path, label_column: str = "label") -> Dataset:
                     raise ValueError(
                         f"{path}: row {i}, column {j}: not a number: {cell!r}"
                     ) from None
+                if not math.isfinite(v):
+                    raise ValueError(f"{path}: row {i}, column {j}: not finite: {cell!r}")
                 vals.append(v)
             labels.append(vals.pop(label_idx))
             rows.append(vals)

@@ -52,8 +52,18 @@ def _check(name, value, rule, ok, kind=numbers.Real):
     valid = (type(value) is float and kind is numbers.Real
              or not isinstance(value, bool) and isinstance(value, kind))
     if not (valid and ok(value)):
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
+        raise ValueError(f"{name} must be {rule}, got {_shown(value)}")
     return value
+
+
+def _shown(value):
+    """``repr(value)``; an int too long for ``repr``, which raises
+    beyond Python's digit limit, shows its bit length instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} int of {value.bit_length()} bits"
 
 
 def _finite(v):

@@ -140,6 +140,13 @@ class TestEnetRuns:
         data.write_text("f0,label\n1.0,oops\n2.0,1.0\n")
         assert main(_enet_args(tmp_path, "--data", str(data))) == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_exits_2_naming_its_place(self, tmp_path, capsys, cell):
+        data = tmp_path / "data.csv"
+        data.write_text(f"f0,label\n1.0,1.0\n{cell},-1.0\n")
+        assert main(_enet_args(tmp_path, "--data", str(data))) == 2
+        assert f"{data}: row 3, column 1: not finite" in capsys.readouterr().err
+
     def test_label_only_dataset_names_missing_features(self, tmp_path, capsys):
         data = tmp_path / "labels.csv"
         data.write_text("label\n1\n-1\n1\n-1\n1\n")

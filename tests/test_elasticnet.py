@@ -8,6 +8,7 @@ central finite differences for gradients.
 
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from scipy.special import expit
 
 import gcgs.solver
 from gcgs import elasticnet
-from gcgs.numerics import golden_section_min, make_rng
+from gcgs.numerics import convex_min_unit, golden_section_min, make_rng
 from gcgs.solver import (ProjectedGradient, SolverConfig,
                          SpectralProjectedGradient, SplitObjective,
                          cg_adapter, solve, surrogate_gap)
@@ -196,10 +197,8 @@ def spy_on_split_calls(monkeypatch, names):
     ``elasticnet.en_split`` builds next are called at.
 
     Patches ``elasticnet.en_split``, through which ``en_cg_split``,
-    ``pg_solve`` and ``spg_solve`` build theirs. The squared-loss split
-    reads its residual ``Z x - y`` without calling ``loss_eval`` or
-    ``loss_grad``, so its evaluations are counted here. Returns a dict
-    of point lists by name.
+    ``pg_solve`` and ``spg_solve`` build theirs. Returns a dict of point
+    lists by name.
     """
     calls = {name: [] for name in names}
     make = elasticnet.en_split
@@ -548,38 +547,148 @@ class TestEnSplit:
             assert objs[-1] < objs[0]
 
 
-def squared_step_reference(problem, x, d):
-    """The squared loss's closed-form exact step from a fresh residual."""
-    Zd, r = problem.Z @ d, problem.Z @ x - problem.y
-    denom = float(Zd @ Zd) + 2.0 * problem.lam * float(d @ d)
-    if denom <= 0.0:
-        return 0.0
-    num = -(float(Zd @ r) + 2.0 * problem.lam * float(x @ d))
-    return min(max(num / denom, 0.0), 1.0)
+def loss_eval_pinned(problem, x):
+    """The data-fitting term from ``t = Z @ x``, written per loss.
+
+    ``loss_eval`` and the split's ``f_eval``, which read one cached
+    margin vector instead, must return these bytes.
+    """
+    t = problem.Z @ x
+    if problem.loss == "squared":
+        r = t - problem.y
+        return 0.5 * float(r @ r)
+    if problem.loss == "logistic":
+        return float(np.logaddexp(0.0, -problem.y * t).sum())
+    u = np.maximum(0.0, 1.0 - problem.y * t)
+    return float(u @ u)
 
 
-class TestSquaredSplit:
-    """The squared-loss split reads one cached residual ``Z x - y``."""
+def loss_grad_pinned(problem, x):
+    """Its gradient from ``t = Z @ x``; ``loss_grad`` and ``f_grad``
+    must return these bytes."""
+    t = problem.Z @ x
+    if problem.loss == "squared":
+        return problem.Z.T @ (t - problem.y)
+    if problem.loss == "logistic":
+        return problem.Z.T @ (-problem.y * _logistic(-problem.y * t))
+    u = np.maximum(0.0, 1.0 - problem.y * t)
+    return problem.Z.T @ (-2.0 * problem.y * u)
 
-    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 0.3, 30.0]),
+
+def exact_step_pinned(problem, x, d):
+    """The exact step per loss from fresh ``Z @ x`` and ``Z @ d``;
+    ``en_split``'s must return these bytes."""
+    lam = problem.lam
+    if problem.loss == "squared":
+        Zd = problem.Z @ d
+        denom = float(Zd @ Zd) + 2.0 * lam * float(d @ d)
+        if denom <= 0.0:
+            return 0.0
+        r = problem.Z @ x - problem.y
+        num = -(float(Zd @ r) + 2.0 * lam * float(x @ d))
+        return min(max(num / denom, 0.0), 1.0)
+    t = problem.y * (problem.Z @ x)
+    u = problem.y * (problem.Z @ d)
+    xd, dd = float(x @ d), float(d @ d)
+    uu = u * u
+
+    def dphi(a):
+        slope, curv = 2.0 * lam * (xd + a * dd), 2.0 * lam * dd
+        if problem.loss == "logistic":
+            p = _logistic(-(t + a * u))
+            return (slope - float(u @ p),
+                    curv + float(uu @ (p * (1.0 - p))))
+        h = np.maximum(0.0, 1.0 - t - a * u)
+        return (slope - 2.0 * float(u @ h),
+                curv + 2.0 * float(uu[h > 0.0].sum()))
+
+    return convex_min_unit(dphi)
+
+
+# margins that rows of ``_margin_problem`` hold exactly at x[0] = 1: the
+# squared hinge's kink, and logistic arguments where exp overflows
+_EXACT_MARGINS = (1.0, 1.0, 710.0, -710.0, 750.0, -750.0)
+
+
+def _margin_problem(loss, seed=32, n=40, d=12):
+    """+-1 labels for every loss; row i < 6 of ``Z`` is
+    ``y_i * _EXACT_MARGINS[i] * e_0``, so ``y_i (Z x)_i`` is that margin
+    exactly wherever ``x[0] = 1``."""
+    rng = make_rng(seed)
+    Z = rng.standard_normal((n, d))
+    y = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    for i, m in enumerate(_EXACT_MARGINS):
+        Z[i] = 0.0
+        Z[i, 0] = y[i] * m
+    return ElasticNetProblem(Z=Z, y=y, loss=loss, lam=1.0, tau=2.0)
+
+
+class TestLossBytes:
+    """For every loss, the public evaluators and the split's, which read
+    one cached margin vector per point, give the bytes of the reference
+    forms above."""
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 0.3, 30.0, 300.0]),
+           pinned=st.booleans(),
            order=st.permutations(["f_eval", "f_grad", "exact_step"]))
-    def test_evaluators_match_the_loss_functions_bitwise(self, seed, scale, order):
-        problem = _small_problem(seed=32, tau=2.0)
+    def test_evaluators_match_the_pinned_bodies_bitwise(self, loss, seed, scale,
+                                                        pinned, order):
+        problem = _margin_problem(loss)
         split = en_split(problem)
         rng = make_rng(seed)
         x = scale * rng.standard_normal(12)
+        if pinned:
+            x[0] = 1.0
         x.flags.writeable = False  # a point the cache answers for
         d = rng.standard_normal(12)
-        expected = {"f_eval": loss_eval(problem, x),
-                    "f_grad": loss_grad(problem, x).tobytes(),
-                    "exact_step": squared_step_reference(problem, x, d)}
+        expected = {"f_eval": loss_eval_pinned(problem, x),
+                    "f_grad": loss_grad_pinned(problem, x).tobytes(),
+                    "exact_step": exact_step_pinned(problem, x, d)}
+        assert loss_eval(problem, x) == expected["f_eval"]
+        assert loss_grad(problem, x).tobytes() == expected["f_grad"]
         seen = {"f_eval": lambda: split.f_eval(x),
                 "f_grad": lambda: split.f_grad(x).tobytes(),
                 "exact_step": lambda: split.exact_step(x, d)}
         for _ in range(2):  # the first call of each kind may fill the cache
             for name in order:
                 assert seen[name]() == expected[name]
+
+    def test_pinned_points_reach_the_kink_and_the_overflow(self):
+        problem = _margin_problem("squared_hinge")
+        x = np.zeros(12)
+        x[0] = 1.0
+        margins = problem.y * (problem.Z @ x)
+        assert tuple(margins[:len(_EXACT_MARGINS)]) == _EXACT_MARGINS
+
+
+class TestPublicEvaluators:
+    """``en_split`` evaluates its loss through ``elasticnet.loss_eval`` and
+    ``loss_grad``, looked up at each call, so a hook that patches those
+    names (as the benchmark's tracer does) sees every solve."""
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("solver,rule", [
+        ("cgs", "exact"), ("cgs", "armijo"), ("cg", "exact"),
+        ("pg", "armijo"), ("spg", "armijo")])
+    def test_a_solve_calls_each_once_per_point(self, monkeypatch, loss, solver, rule):
+        points = {"loss_eval": [], "loss_grad": []}
+        for name, log in points.items():
+            fn = getattr(elasticnet, name)
+            monkeypatch.setattr(elasticnet, name,
+                                lambda problem, x, *rest, _fn=fn, _log=log:
+                                _log.append(x) or _fn(problem, x, *rest))
+        problem = _small_problem(seed=28, tau=0.8, loss=loss)
+        result = TestOnePointOnce._run(problem, solver, rule, en_split)()
+        monkeypatch.undo()
+        n = len(result.trace)
+        assert n > 10
+        assert len(points["loss_grad"]) == n  # one gradient per iterate
+        assert len(points["loss_eval"]) >= n
+        for log in points.values():
+            assert len({id(x) for x in log}) == len(log)
 
 
 class TestCgSplit:
@@ -844,7 +953,7 @@ def spy_on_caches(monkeypatch):
     """Log every value an ``iterate_cache`` of a split built next computes.
 
     Patches ``elasticnet.iterate_cache``; returns the log of
-    ``(point, value)`` pairs, ``Z @ x`` images being arrays and ``g``
+    ``(point, value)`` pairs, margin vectors being arrays and ``g``
     values floats.
     """
     log = []
@@ -898,11 +1007,11 @@ class TestOnePointOnce:
         n = len(result.trace)
         assert n > 10
         if rule == "exact":
-            # f_grad, f_eval and the exact step share the iterate's Z @ x
+            # f_grad, f_eval and the exact step share the iterate's margins
             assert len(images) == n
         else:
             # x0, then each Armijo trial once: every later iterate is an
-            # accepted trial, whose Z @ x the loop's gradient reuses
+            # accepted trial, whose margins the loop's gradient reuses
             alphas = [rec.alpha for rec in result.trace[:-1]]
             assert len(images) == 1 + armijo_evaluations(alphas)
 
@@ -1136,6 +1245,14 @@ class TestCsvDataset:
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n1.0,2.0,1.0\n3.0,oops,-1.0\n")
         with pytest.raises(ValueError, match="row 3, column 2"):
+            load_csv_dataset(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_reports_location(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,1.0\n3.0,{cell},-1.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 3, column 2: not finite: {cell!r}")):
             load_csv_dataset(path)
 
     def test_short_row_reports_location(self, tmp_path):

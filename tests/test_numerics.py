@@ -170,14 +170,17 @@ _ARGUMENTS = [
 
 # An int beyond the float range: ``float()`` of it overflows.
 _HUGE = 10**400
+# An int beyond Python's 4300-digit limit, past which ``repr`` raises.
+_GIANT = 10**5000
+_LABELS = {_HUGE: "10**400", _GIANT: "10**5000"}
 
 # the rule of each kind, and the values that break it: NaN, both
 # infinities, an out-of-range value, a bool and, for integers, 1.5
 _RULES = {
-    "positive": ("finite and positive", (-1.0, 0.0, _HUGE)),
-    "nonnegative": ("finite and nonnegative", (-1e-3, _HUGE)),
+    "positive": ("finite and positive", (-1.0, 0.0, _HUGE, _GIANT)),
+    "nonnegative": ("finite and nonnegative", (-1e-3, _HUGE, _GIANT)),
     "count": ("an integer >= 1", (0, 1.5)),
-    "seed": ("an integer in [0, 2**64)", (-1, 2**64, 1.5)),
+    "seed": ("an integer in [0, 2**64)", (-1, 2**64, 1.5, _GIANT)),
 }
 
 
@@ -185,7 +188,7 @@ def _bad_arguments():
     for entry, name, kind, call, extra in _ARGUMENTS:
         rule, out_of_range = _RULES[kind]
         for value in (np.nan, np.inf, -np.inf, True) + out_of_range + extra:
-            label = "10**400" if value is _HUGE else repr(value)
+            label = _LABELS.get(value) or repr(value)
             yield pytest.param(call, name, rule, value,
                                id=f"{entry}-{name}-{label}")
 
@@ -194,6 +197,14 @@ def _bad_arguments():
 def test_bad_argument_raises_naming_it(call, name, rule, value):
     with pytest.raises(ValueError, match=f"^{name} must be {re.escape(rule)}, got "):
         call(value)
+
+
+@pytest.mark.parametrize("value,shown", [(_GIANT, "an int of 16610 bits"),
+                                          (-_GIANT, "a negative int of 16610 bits")],
+                         ids=["10**5000", "-10**5000"])
+def test_an_int_too_long_for_repr_shows_its_bit_length(value, shown):
+    with pytest.raises(ValueError, match=f"^tau must be finite and positive, got {shown}$"):
+        en.project_l1(_ZEROS, value)
 
 
 def test_scalar_rules_are_written_in_numerics_only():
