@@ -97,8 +97,10 @@ def check_nonnegative(name, value):
 
 
 def check_count(name, n):
-    """Return ``n``, an integer >= 1; a bool is not one."""
-    return _check(name, n, "an integer >= 1", lambda v: v >= 1, numbers.Integral)
+    """Return ``n``, an integer in [1, 2**63), numpy's index range; a
+    bool is not one."""
+    return _check(name, n, "an integer in [1, 2**63)", lambda v: 1 <= v < 2**63,
+                  numbers.Integral)
 
 
 def make_rng(seed: int) -> "np.random.Generator":

@@ -88,8 +88,18 @@ def as_histogram(weights) -> np.ndarray:
 
 
 def uniform_histogram(n: int) -> np.ndarray:
-    """Equal weights on ``n`` points, an integer >= 1."""
+    """Equal weights on ``n`` points, an integer in [1, 2**63)."""
     return np.full(n, 1.0 / check_count("n", n))
+
+
+def _transport_data(cost, mu_s, mu_t):
+    """``(cost, mu_s, mu_t)`` as float64 arrays, the marginals checked by
+    :func:`as_histogram` and the cost shaped ``(mu_s.size, mu_t.size)``."""
+    cost = np.asarray(cost, dtype=np.float64)
+    a, b = as_histogram(mu_s), as_histogram(mu_t)
+    if cost.shape != (a.size, b.size):
+        raise ValueError("cost shape does not match the marginals")
+    return cost, a, b
 
 
 def marginal_violation(gamma: np.ndarray, mu_s: np.ndarray, mu_t: np.ndarray) -> float:
@@ -115,15 +125,6 @@ def negentropy(gamma: np.ndarray) -> float:
     return float(np.sum(logs))
 
 
-def negentropy_grad(gamma: np.ndarray) -> np.ndarray:
-    """Elementwise 1 + log(gamma); defined only for positive plans."""
-    if np.any(gamma <= 0):
-        i, j = np.argwhere(gamma <= 0)[0]
-        raise ValueError(
-            f"negentropy gradient undefined at nonpositive entry ({i}, {j})")
-    return 1.0 + np.log(gamma)
-
-
 @dataclass
 class TransportProblem:
     """Cost, marginals and regularization data for one transport instance.
@@ -144,12 +145,9 @@ class TransportProblem:
     Xt: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.cost = as_matrix(self.cost)
-        self.mu_s = as_histogram(self.mu_s)
-        self.mu_t = as_histogram(self.mu_t)
+        self.cost, self.mu_s, self.mu_t = _transport_data(
+            as_matrix(self.cost), self.mu_s, self.mu_t)
         r, c = self.cost.shape
-        if self.mu_s.shape != (r,) or self.mu_t.shape != (c,):
-            raise ValueError("marginal lengths do not match the cost matrix")
         check_positive("lambda_ent", self.lambda_ent)
         check_nonnegative("lambda_lap", self.lambda_lap)
         if self.lambda_lap > 0:
@@ -213,8 +211,9 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     The smooth part collects the linear cost and the Laplacian term; the
     entropy stays exact in the subproblem, which therefore reduces to
     entropic transport with cost ``C + lambda_lap * grad(Omega_lap)``.
-    The entropy gradient takes the plan floored at 1e-300, so it stays
-    finite on plans with zero entries such as transport-simplex vertices.
+    The entropy gradient ``lambda_ent * (1 + log gamma)`` takes the plan
+    floored at 1e-300, so it stays finite on plans with zero entries such
+    as transport-simplex vertices; it is formed in the floored copy.
     The exact step restricts ``F`` to the chord ``gamma + a d``: the cost
     and Laplacian terms give the quadratic ``c1 a + c2 a^2`` from the
     gradient at ``gamma`` (in a :func:`~gcgs.solver.solve` run, the one
@@ -235,7 +234,7 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     With ``warm_start`` the oracle returns its Sinkhorn column potential
     as the ``warm`` of a solve's next call. ``g`` is formed once per
     point of a solve. ``sinkhorn_tol`` must be finite and positive and
-    ``sinkhorn_max_iter`` an integer >= 1.
+    ``sinkhorn_max_iter`` an integer in [1, 2**63).
     """
     check_positive("sinkhorn_tol", sinkhorn_tol)
     check_count("sinkhorn_max_iter", sinkhorn_max_iter)
@@ -247,6 +246,13 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
     @iterate_cache  # the exact step reuses the gradient solve formed
     def f_grad(gamma):
         return problem.cost + problem.lambda_lap * laplacian_reg_grad(gamma, problem)
+
+    def g_grad(gamma):
+        grad = np.maximum(gamma, _PLAN_FLOOR)
+        np.log(grad, out=grad)
+        grad += 1.0
+        grad *= problem.lambda_ent
+        return grad
 
     def oracle(gamma, grad_f, warm):
         plan, pots = sinkhorn(
@@ -295,8 +301,7 @@ def ot_split(problem: TransportProblem, sinkhorn_tol: float = 1e-9,
         f_eval=f_eval,
         f_grad=f_grad,
         g_eval=iterate_cache(lambda gamma: problem.lambda_ent * negentropy(gamma)),
-        g_grad=lambda gamma: problem.lambda_ent * negentropy_grad(
-            np.maximum(gamma, _PLAN_FLOOR)),
+        g_grad=g_grad,
         partial_oracle=oracle,
         exact_step=exact_step,
         residual=lambda gamma, grad_F: marginal_violation(
@@ -458,17 +463,13 @@ def sinkhorn(cost_adj: np.ndarray, mu_s, mu_t, lambda_ent: float,
 
     Returns the plan, with entries floored at 1e-300, once its marginal
     violation (infinity norm) is at most ``tol``; after ``max_iter``
-    sweeps (an integer >= 1; a product pair of a Newton step counts as
-    one) raises :class:`ConvergenceError` carrying the achieved
+    sweeps (an integer in [1, 2**63); a product pair of a Newton step
+    counts as one) raises :class:`ConvergenceError` carrying the achieved
     violation. ``return_potentials`` also returns the plan's ``(f, g)``,
     ``-inf`` at zero marginals. Warm ``potentials`` are a previous
     call's ``g``, shaped (c,) and finite where ``mu_t`` is positive.
     """
-    a = as_histogram(mu_s)
-    b = as_histogram(mu_t)
-    cost_adj = np.asarray(cost_adj, dtype=np.float64)
-    if cost_adj.shape != (a.size, b.size):
-        raise ValueError("cost shape does not match the marginals")
+    cost_adj, a, b = _transport_data(cost_adj, mu_s, mu_t)
     check_positive("lambda_ent", lambda_ent)
     check_positive("tol", tol)
     check_count("max_iter", max_iter)
@@ -623,11 +624,7 @@ def transport_lmo(cost_adj: np.ndarray, mu_s, mu_t):
     finite, or large enough to overflow the potentials, raises
     ``ValueError``.
     """
-    cost = np.asarray(cost_adj, dtype=np.float64)
-    a = as_histogram(mu_s)
-    b = as_histogram(mu_t)
-    if cost.shape != (a.size, b.size):
-        raise ValueError("cost shape does not match the marginals")
+    cost, a, b = _transport_data(cost_adj, mu_s, mu_t)
     r, c = cost.shape
     # Both paths stay finite while 8 (r + c) M does, M = max |cost|.
     # With R = max cost - min cost <= 2 M: a simplex potential sums at
@@ -838,14 +835,13 @@ def _transport_simplex(cost, a, b):
     parent, edge, depth, pot = [0] * n, [-1] * n, [0] * n, [0.0] * n
     tree = (basis, costs, adjacency, parent, edge, depth, pot)
     flows = _subtree_flows(perturbed, parent, edge, _hang(0, tree))
-    duals = np.array(pot)
-    u, v = duals[:r], duals[r:]
     # rounding noise in a reduced cost (see transport_lmo) is not a descent
     noise = 2 * n * sys.float_info.epsilon * np.abs(cost).max()
     max_pivots = 4 * r * c + 1000
     for pivot in range(max_pivots + 1):
-        reduced = cost - u[:, None]
-        reduced -= v
+        duals = np.array(pot)
+        reduced = cost - duals[:r, None]
+        reduced -= duals[r:]
         flat = int(reduced.argmin())
         ei, ej = divmod(flat, c)
         if reduced[ei, ej] >= -noise:
@@ -878,15 +874,15 @@ def _transport_simplex(cost, a, b):
         top, below = (r + ej, ei) if leaving in sides[0] else (ei, r + ej)
         parent[below], edge[below], depth[below] = top, leaving, depth[top] + 1
         pot[below] = costs[ei][ej] - pot[top]
-        subtree = _hang(below, tree)
-        duals[subtree] = [pot[node] for node in subtree]
+        _hang(below, tree)
 
+    # rooting the tree again rewrites pot with the same bits: the duals
+    # the last reduced costs read are the returned ones
     final = _subtree_flows(np.concatenate([a, b]).tolist(), parent, edge, _hang(0, tree))
-    u, v = np.array(pot[:r]), np.array(pot[r:])
     gamma = np.zeros((r, c))
     rows, cols = zip(*basis)
     gamma[rows, cols] = np.clip(final, 0.0, None)
-    return gamma, (u, v)
+    return gamma, (duals[:r], duals[r:])
 
 
 # ---------------------------------------------------------------------------
@@ -921,9 +917,9 @@ def make_cluster_data(ns: int, nt: int, n_clusters: int = 3,
     Source points sit in ``n_clusters`` Gaussian blobs; the target blobs
     are a rotated and shifted copy of the source centers with fresh
     noise. Deterministic for a given seed. ``ns``, ``nt`` and
-    ``n_clusters`` must be integers >= 1 with ``n_clusters <= min(ns,
-    nt)``, ``noise`` finite and nonnegative, and ``seed`` an integer in
-    [0, 2**64).
+    ``n_clusters`` must be integers in [1, 2**63) with ``n_clusters <=
+    min(ns, nt)``, ``noise`` finite and nonnegative, and ``seed`` an
+    integer in [0, 2**64).
 
     Returns
     -------

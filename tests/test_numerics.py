@@ -172,14 +172,14 @@ _ARGUMENTS = [
 _HUGE = 10**400
 # An int beyond Python's 4300-digit limit, past which ``repr`` raises.
 _GIANT = 10**5000
-_LABELS = {_HUGE: "10**400", _GIANT: "10**5000"}
+_LABELS = {_HUGE: "10**400", _GIANT: "10**5000", 2**63: "2**63"}
 
 # the rule of each kind, and the values that break it: NaN, both
 # infinities, an out-of-range value, a bool and, for integers, 1.5
 _RULES = {
     "positive": ("finite and positive", (-1.0, 0.0, _HUGE, _GIANT)),
     "nonnegative": ("finite and nonnegative", (-1e-3, _HUGE, _GIANT)),
-    "count": ("an integer >= 1", (0, 1.5)),
+    "count": ("an integer in [1, 2**63)", (0, 2**63, 1.5, _GIANT)),
     "seed": ("an integer in [0, 2**64)", (-1, 2**64, 1.5, _GIANT)),
 }
 

@@ -41,7 +41,6 @@ from gcgs.transport import (
     make_cluster_data,
     marginal_violation,
     negentropy,
-    negentropy_grad,
     ot_cg_split,
     ot_objective,
     ot_split,
@@ -320,6 +319,13 @@ def transport_lmo_rebuild_reference(cost, a, b):
     for t, cell in enumerate(basis):
         gamma[cell] = max(final[t], 0.0)
     return gamma
+
+
+def negentropy_grad(gamma):
+    """Elementwise ``1 + log(gamma)`` of a positive plan, in the textbook
+    form: the reference for ``ot_split``'s ``g_grad``, which forms the
+    same bits in place."""
+    return 1.0 + np.log(gamma)
 
 
 def _hist(rng, n):
@@ -1159,6 +1165,14 @@ class TestMemory:
         split = ot_split(TransportProblem(cost, a, b, lambda_ent=0.01))
         assert nn_peak(lambda: split.exact_step(x, d), self.n) <= 2.25
 
+    def test_entropy_gradient_holds_one_array(self):
+        # 1.00: the floored copy, in which the gradient is formed (2.00
+        # with a separate log and sum)
+        cost, a, b = self._instance()
+        x = sinkhorn(cost, a, b, 0.1, tol=1e-5)
+        split = ot_split(TransportProblem(cost, a, b, lambda_ent=0.01))
+        assert nn_peak(lambda: split.g_grad(x), self.n) <= 1.25
+
     def test_negentropy_holds_one_array(self):
         # 1.13: the logs and the zero mask (2.00 with a separate product)
         cost, a, b = self._instance()
@@ -1197,11 +1211,6 @@ class TestEntropyAndLaplacian:
         fd = finite_diff_grad(
             lambda v: negentropy(v.reshape(3, 4)), gamma.ravel())
         np.testing.assert_allclose(grad.ravel(), fd, rtol=1e-6, atol=1e-8)
-
-    def test_negentropy_grad_names_bad_entry(self):
-        gamma = np.array([[0.1, 0.0], [0.2, 0.7]])
-        with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            negentropy_grad(gamma)
 
     def _laplacian_problem(self, seed=29):
         rng = make_rng(seed)
@@ -1286,9 +1295,24 @@ class TestEntropyAndLaplacian:
         assert ot_objective(gamma, problem) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("shape,rows,cols", [
+    ((2, 3), 2, 2), ((3, 2), 2, 2), ((2, 3), 3, 2), ((3, 3), 1, 3),
+    ((3, 3), 3, 1), ((1, 1), 2, 2)])
+@pytest.mark.parametrize("build", [
+    lambda cost, a, b: sinkhorn(cost, a, b, 0.5),
+    lambda cost, a, b: transport_lmo(cost, a, b),
+    lambda cost, a, b: TransportProblem(cost, a, b, lambda_ent=0.5),
+], ids=["sinkhorn", "transport_lmo", "TransportProblem"])
+def test_cost_shape_must_match_the_marginals(build, shape, rows, cols):
+    # one rule and one message for every entry point taking a cost and
+    # its marginals; a length-1 marginal must not broadcast
+    with pytest.raises(ValueError, match="^cost shape does not match the marginals$"):
+        build(np.zeros(shape), uniform_histogram(rows), uniform_histogram(cols))
+
+
 class TestProblemValidation:
     def test_marginal_length_mismatch(self):
-        with pytest.raises(ValueError, match="marginal lengths"):
+        with pytest.raises(ValueError, match="cost shape does not match the marginals"):
             TransportProblem(np.zeros((2, 3)), uniform_histogram(2),
                              uniform_histogram(2), lambda_ent=0.5)
 
@@ -1421,7 +1445,8 @@ class TestGraphsAndData:
         for name in ("ns", "nt", "n_clusters"):
             for bad in (True, 2.5, 0):
                 args = {"ns": 9, "nt": 9, "n_clusters": 3, name: bad}
-                with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+                with pytest.raises(ValueError,
+                                   match=f"^{name} must be an integer in \\[1, 2\\*\\*63\\)"):
                     make_cluster_data(**args)
         for noise in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match="noise must be finite"):
@@ -1489,6 +1514,29 @@ class TestSplitObjectives:
             ot_objective(gamma, problem), rel=1e-13)
         assert split.residual(gamma, split.grad(gamma)) == marginal_violation(
             gamma, problem.mu_s, problem.mu_t)
+
+    @pytest.mark.parametrize("kind", ["interior", "vertex", "zero-mass rows"])
+    @pytest.mark.parametrize("lam", [0.05, 1.7e-2, 3.0])
+    def test_entropy_gradient_bits_match_the_reference(self, kind, lam):
+        # g_grad forms lambda_ent * (1 + log(max(gamma, 1e-300))) in one
+        # buffer as log, + 1, * lambda_ent; IEEE addition and
+        # multiplication commute, so every bit is the reference's
+        problem = self._entropic_problem(shape=(20, 20), lam=lam)
+        cost, a, b = problem.cost, problem.mu_s, problem.mu_t
+        if kind == "interior":
+            plans = [sinkhorn(cost, a, b, 0.1), make_rng(23).random((20, 20)) ** 4]
+        elif kind == "vertex":  # exact zeros, from the simplex and assignment paths
+            w = uniform_histogram(20)
+            plans = [transport_lmo(cost, a, b)[0], transport_lmo(cost, w, w)[0]]
+        else:  # floored to 1e-300 on the rows and columns without mass
+            a0, b0 = a.copy(), b.copy()
+            a0[:5], b0[-3:] = 0.0, 0.0
+            plans = [sinkhorn(cost, a0 / a0.sum(), b0 / b0.sum(), 0.1)]
+            assert np.all(plans[0][:5] == 1e-300)
+        split = ot_split(problem)
+        for gamma in plans:
+            want = lam * negentropy_grad(np.maximum(gamma, 1e-300))
+            assert split.g_grad(gamma).tobytes() == want.tobytes()
 
     def test_entropic_only_solve_needs_one_oracle_call(self):
         # without the Laplacian term the adjusted cost never changes, so
